@@ -32,11 +32,6 @@ class AtInfinity(EpifuseError):
     """Projection is undefined: the point lies on the principal plane."""
 
 
-# Alias: a point with |w| ~ 0 sits at infinity in the image, which in a
-# physical rig almost always means it is behind or beside the camera.
-BehindCamera = AtInfinity
-
-
 # -- fusion -----------------------------------------------------------------
 
 class ShapeMismatch(EpifuseError):

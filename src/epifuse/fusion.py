@@ -13,12 +13,13 @@ where the bottleneck scores in an embedded half-width space, w ~ softmax of
 are passed through unchanged. Logits are plain dot products; an optional
 temperature scales them and defaults to 1.
 
-The forward pass can retain per-pixel weights (for profile inspection) and
-the intermediate state needed by transformer_backward, which returns exact
-analytic gradients for both feature maps and all fusion parameters. Sample
-locations depend only on camera geometry, so no gradient flows through them;
-in max mode the weights are piecewise constant and the backward pass
-differentiates the locally selected branch.
+The forward pass can retain per-pixel weights (the pipeline reads matching
+accuracy and similarity profiles from them) and the intermediate state
+needed by transformer_backward, which returns exact analytic gradients for
+both feature maps and all fusion parameters. Sample locations depend only
+on camera geometry, so no gradient flows through them; in max mode the
+weights are piecewise constant and the backward pass differentiates the
+locally selected branch.
 """
 
 from __future__ import annotations
@@ -40,11 +41,11 @@ from .geometry import (
     DEFAULT_TOLERANCES,
     CameraView,
     Tolerances,
+    camera_at_resolution,
     fundamental_matrix,
     normalize_lines,
-    rescale_camera,
 )
-from .sampler import FeatureMap, FusedMap, bilinear_plan, clip_lines, sample_parameters
+from .sampler import FeatureMap, bilinear_plan, clip_lines, sample_parameters
 
 ETWT_MAGIC = b"ETWT"
 
@@ -155,55 +156,7 @@ def similarity_weights(
         raise ShapeMismatch("query must be (C,) and samples (K, C)")
     if mode not in WEIGHT_MODES:
         raise ValueError(f"mode must be one of {WEIGHT_MODES}")
-    z = temperature * (samples @ query)
-    if mode == "max":
-        w = np.zeros(len(z))
-        w[int(np.argmax(z))] = 1.0
-        return w
-    z = z - np.max(z)
-    e = np.exp(z)
-    return e / np.sum(e)
-
-
-def aggregate(weights: np.ndarray, samples: np.ndarray) -> np.ndarray:
-    """Convex combination sum_i w_i s_i of the sample rows."""
-    weights = np.asarray(weights, dtype=np.float64)
-    samples = np.asarray(samples, dtype=np.float64)
-    if samples.ndim != 2 or weights.shape != (samples.shape[0],):
-        raise ShapeMismatch("weights must be (K,) and samples (K, C)")
-    if abs(float(np.sum(weights)) - 1.0) > 1e-9:
-        raise ValueError("weights must sum to 1")
-    return weights @ samples
-
-
-def fuse_identity(ref_feat: np.ndarray, agg: np.ndarray, params: FusionParams) -> np.ndarray:
-    """Residual fusion out = ref + W_z @ agg for the identity variant."""
-    if params.variant != "identity":
-        raise ValueError("params are not for the identity variant")
-    ref_feat = np.asarray(ref_feat, dtype=np.float64)
-    agg = np.asarray(agg, dtype=np.float64)
-    c = params.channels
-    if ref_feat.shape != (c,) or agg.shape != (c,):
-        raise ShapeMismatch("feature vectors do not match the parameter width")
-    return ref_feat + params.w_z @ agg
-
-
-def fuse_bottleneck(
-    ref_feat: np.ndarray, samples: np.ndarray, params: FusionParams
-) -> np.ndarray:
-    """Half-width embedded attention with an up-projection back to C."""
-    if params.variant != "bottleneck":
-        raise ValueError("params are not for the bottleneck variant")
-    ref_feat = np.asarray(ref_feat, dtype=np.float64)
-    samples = np.asarray(samples, dtype=np.float64)
-    c = params.channels
-    if ref_feat.shape != (c,) or samples.ndim != 2 or samples.shape[1] != c:
-        raise ShapeMismatch("feature vectors do not match the parameter width")
-    u = params.theta.T @ ref_feat
-    v = samples @ params.phi
-    w = similarity_weights(u, v, params.weight_mode, params.temperature)
-    m = aggregate(w, samples @ params.g)
-    return ref_feat + params.w_z.T @ m
+    return _batch_weights(temperature * (samples @ query)[None, :], mode)[0]
 
 
 @dataclass(eq=False)
@@ -254,7 +207,7 @@ class _ForwardState:
 
 @dataclass(eq=False)
 class ForwardResult:
-    fused: FusedMap
+    fused: FeatureMap
     weight_record: WeightRecord | None = None
     state: _ForwardState | None = None
 
@@ -286,10 +239,8 @@ def plan_epipolar_sampling(
     """
     ref_h, ref_w = ref_hw
     src_h, src_w = src_hw
-    if (ref.width, ref.height) != (ref_w, ref_h):
-        ref = rescale_camera(ref, ref.width / ref_w, ref.height / ref_h)
-    if (src.width, src.height) != (src_w, src_h):
-        src = rescale_camera(src, src.width / src_w, src.height / src_h)
+    ref = camera_at_resolution(ref, ref_w, ref_h)
+    src = camera_at_resolution(src, src_w, src_h)
     f = fundamental_matrix(ref, src, tol)
 
     xs = np.tile(np.arange(ref_w, dtype=np.float64), ref_h)
@@ -344,6 +295,29 @@ def _batch_weights(logits: np.ndarray, mode: str) -> np.ndarray:
     return e / np.sum(e, axis=1, keepdims=True)
 
 
+def _attend(
+    params: FusionParams, queries: np.ndarray, samples: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Attention of n queries (n, C) over their samples (n, K, C).
+
+    Returns the weights (n, K), the fused rows (n, C) and the intermediates
+    that transformer_backward reads, keyed by _ForwardState field name.
+    """
+    tau = params.temperature
+    if params.variant == "identity":
+        logits = tau * np.einsum("nc,nkc->nk", queries, samples)
+        weights = _batch_weights(logits, params.weight_mode)
+        agg = np.einsum("nk,nkc->nc", weights, samples)
+        return weights, queries + agg @ params.w_z.T, {"agg": agg}
+    u = queries @ params.theta
+    v = np.einsum("nkc,cd->nkd", samples, params.phi)
+    logits = tau * np.einsum("nd,nkd->nk", u, v)
+    weights = _batch_weights(logits, params.weight_mode)
+    h_emb = np.einsum("nkc,cd->nkd", samples, params.g)
+    m = np.einsum("nk,nkd->nd", weights, h_emb)
+    return weights, queries + m @ params.w_z, {"u": u, "v": v, "h_emb": h_emb, "m": m}
+
+
 def transformer_forward(
     f_ref: FeatureMap,
     f_src: FeatureMap,
@@ -385,27 +359,7 @@ def transformer_forward(
     valid = plan.valid
     queries = f_ref.data.reshape(h * w, c)[valid]
     samples = _gather_samples(plan, f_src.data)
-    tau = params.temperature
-
-    state = _ForwardState(plan, params, queries, samples, np.empty(0)) if record_grad else None
-
-    if params.variant == "identity":
-        logits = tau * np.einsum("nc,nkc->nk", queries, samples)
-        weights = _batch_weights(logits, params.weight_mode)
-        agg = np.einsum("nk,nkc->nc", weights, samples)
-        out = queries + agg @ params.w_z.T
-        if state is not None:
-            state.agg = agg
-    else:
-        u = queries @ params.theta
-        v = np.einsum("nkc,cd->nkd", samples, params.phi)
-        logits = tau * np.einsum("nd,nkd->nk", u, v)
-        weights = _batch_weights(logits, params.weight_mode)
-        h_emb = np.einsum("nkc,cd->nkd", samples, params.g)
-        m = np.einsum("nk,nkd->nd", weights, h_emb)
-        out = queries + m @ params.w_z
-        if state is not None:
-            state.u, state.v, state.h_emb, state.m = u, v, h_emb, m
+    weights, out, saved = _attend(params, queries, samples)
 
     fused_flat = f_ref.data.reshape(h * w, c).copy()
     fused_flat[valid] = out
@@ -422,15 +376,14 @@ def transformer_forward(
             locations=loc_full.reshape(h, w, plan.k, 2),
             weights=w_full.reshape(h, w, plan.k),
         )
-    if state is not None:
-        state.weights = weights
+    state = _ForwardState(plan, params, queries, samples, weights, **saved) if record_grad else None
     return ForwardResult(fused=fused, weight_record=record, state=state)
 
 
 def transformer_backward(state: _ForwardState | None, grad_fused: np.ndarray) -> FusionGradients:
     """Exact gradients of a recorded forward pass.
 
-    grad_fused is dL/dFusedMap as an (H, W, C) array. Returns gradients for
+    grad_fused is dL/d(fused map) as an (H, W, C) array. Returns gradients for
     the reference map, the source map, and every fusion parameter; skipped
     pixels contribute identity gradients to the reference map only. Bilinear
     reads scatter back to their four corner pixels; the scatter accumulates

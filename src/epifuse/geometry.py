@@ -332,6 +332,17 @@ def rescale_camera(cam: CameraView, s_x: float, s_y: float) -> CameraView:
     return CameraView(t @ cam.M, new_w, new_h)
 
 
+def camera_at_resolution(cam: CameraView, width: int, height: int) -> CameraView:
+    """The camera of a width x height map of cam's image.
+
+    Returns cam itself when the sizes already match; otherwise rescales it
+    by the ratio of the sizes.
+    """
+    if (cam.width, cam.height) == (width, height):
+        return cam
+    return rescale_camera(cam, cam.width / width, cam.height / height)
+
+
 def project(
     cam: CameraView, x: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> np.ndarray:

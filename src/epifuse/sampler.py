@@ -22,8 +22,8 @@ from .geometry import (
     CameraView,
     EpipolarLine,
     Tolerances,
+    camera_at_resolution,
     epipolar_line,
-    rescale_camera,
 )
 
 FMAP_MAGIC = b"FMAP"
@@ -64,10 +64,6 @@ class FeatureMap:
     @property
     def channels(self) -> int:
         return self.data.shape[2]
-
-
-# A fused map has exactly the shape and constraints of its input map.
-FusedMap = FeatureMap
 
 
 @dataclass(frozen=True)
@@ -275,8 +271,7 @@ def epipolar_samples(
     frame for lines, locations, and reads. Returns None when the line is
     degenerate or misses the map.
     """
-    if (f_src.width, f_src.height) != (src.width, src.height):
-        src = rescale_camera(src, src.width / f_src.width, src.height / f_src.height)
+    src = camera_at_resolution(src, f_src.width, f_src.height)
     try:
         line = epipolar_line(ref, src, p, tol)
     except DegenerateLine:

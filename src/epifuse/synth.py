@@ -12,7 +12,8 @@ taking the sub-pixel peak. Optional Gaussian pixel noise perturbs the
 detections before per-joint RANSAC triangulation. The report carries MPJPE
 against the true joints, a joint detection rate, the attention matching
 accuracy (how often the argmax attention sample lands within one sample
-step of the true correspondence), and per-joint similarity profiles.
+step of the true correspondence), and per-joint similarity profiles; both
+are read from the attention weights of the fusion pass itself.
 """
 
 from __future__ import annotations
@@ -37,14 +38,14 @@ from .errors import (
 from .fusion import (
     FusionParams,
     ForwardResult,
+    _attend,
     plan_epipolar_sampling,
-    similarity_weights,
     transformer_backward,
     transformer_forward,
 )
-from .geometry import CameraView, DEFAULT_TOLERANCES, rescale_camera
+from .geometry import CameraView, DEFAULT_TOLERANCES, camera_at_resolution
 from .metrics import Pose3D, argmax_peak, jdr, mpjpe
-from .sampler import FeatureMap, epipolar_samples
+from .sampler import FeatureMap, bilinear_many, epipolar_samples, sample_parameters
 from .triangulation import Observation, ransac_triangulate
 
 
@@ -207,9 +208,7 @@ def _camera_at_map_resolution(
     if map_wh is None:
         return cam
     mw, mh = (map_wh, map_wh) if isinstance(map_wh, int) else map_wh
-    if (cam.width, cam.height) == (mw, mh):
-        return cam
-    return rescale_camera(cam, cam.width / mw, cam.height / mh)
+    return camera_at_resolution(cam, mw, mh)
 
 
 # -- end-to-end pipeline -------------------------------------------------------
@@ -284,19 +283,6 @@ def run_pipeline(
     entropy = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     s_heat, s_analytic, s_ransac_heat, s_ransac_analytic = entropy.spawn(4)
 
-    maps = _ordered_map(
-        lambda cam: render_descriptor_map(cam, scene, sigma_px, (mw, mh)), cams, threads
-    )
-    fused = _ordered_map(
-        lambda r: transformer_forward(
-            maps[r], maps[src_of[r]], cams[r], cams[src_of[r]], params, k
-        ).fused,
-        range(n_views),
-        threads,
-    )
-    if fused_out is not None:
-        fused_out.extend(fused)
-
     # True projections and visibility at map resolution.
     proj = np.full((n_views, n_joints, 2), np.nan)
     visible = np.zeros((n_views, n_joints), dtype=bool)
@@ -308,6 +294,21 @@ def run_pipeline(
             p = q[:2] / q[2]
             proj[r, j] = p
             visible[r, j] = (0.0 <= p[0] <= mw - 1) and (0.0 <= p[1] <= mh - 1)
+
+    maps = _ordered_map(
+        lambda cam: render_descriptor_map(cam, scene, sigma_px, (mw, mh)), cams, threads
+    )
+    per_view = _ordered_map(
+        lambda r: _fuse_and_match(r, src_of[r], maps, cams_m, proj, visible, params, k),
+        range(n_views),
+        threads,
+    )
+    fused = [v[0] for v in per_view]
+    match_hits = sum(v[1] for v in per_view)
+    match_total = sum(v[2] for v in per_view)
+    profiles = per_view[0][3]
+    if fused_out is not None:
+        fused_out.extend(fused)
 
     # Heatmap readout per view and joint, then optional detection noise.
     detections = np.zeros((n_views, n_joints, 2))
@@ -344,11 +345,6 @@ def run_pipeline(
         jdr_pct = jdr(pred2d, gt2d, head_size_px)
     else:
         jdr_pct = None
-
-    match_hits, match_total = _matching_counts(
-        maps, cams_m, proj, visible, src_of, scene, params, k
-    )
-    profiles = _reference_profiles(maps, cams_m, proj, visible, src_of, scene, params, k)
 
     per_joint = []
     for j in range(n_joints):
@@ -431,68 +427,55 @@ def _masked_mpjpe(points, valid, gt_joints) -> float | None:
     return mpjpe(pred, gt)
 
 
-def _attention_over_samples(query, samples, params: FusionParams) -> np.ndarray:
-    if params.variant == "identity":
-        return similarity_weights(query, samples, params.weight_mode, params.temperature)
-    u = params.theta.T @ query
-    v = samples @ params.phi
-    return similarity_weights(u, v, params.weight_mode, params.temperature)
-
-
 def _query_pixel(p: np.ndarray, width: int, height: int) -> tuple[int, int]:
     qx = int(np.clip(np.rint(p[0]), 0, width - 1))
     qy = int(np.clip(np.rint(p[1]), 0, height - 1))
     return qx, qy
 
 
-def _matching_counts(maps, cams_m, proj, visible, src_of, scene, params, k):
-    n_views, n_joints = visible.shape
+def _fuse_and_match(r, s, maps, cams_m, proj, visible, params, k):
+    """Fuse view r with source s, reading matches from the pass's own weights.
+
+    A joint seen in both views counts once; it is a hit when the largest
+    weight at its rounded reference pixel sits within one sample step of its
+    true source projection. Profiles are read for reference view 0 only.
+    Returns (fused map, hits, totals, profiles), per joint.
+    """
+    result = transformer_forward(
+        maps[r], maps[s], cams_m[r], cams_m[s], params, k, record_weights=True
+    )
+    record = result.weight_record
+    n_joints = visible.shape[1]
     hits = np.zeros(n_joints, dtype=int)
     totals = np.zeros(n_joints, dtype=int)
-    for r in range(n_views):
-        s = src_of[r]
-        for j in range(n_joints):
-            if not (visible[r, j] and visible[s, j]):
-                continue
-            totals[j] += 1
-            qx, qy = _query_pixel(proj[r, j], maps[r].width, maps[r].height)
-            samples = epipolar_samples(maps[s], cams_m[r], cams_m[s], (float(qx), float(qy)), k)
-            if samples is None:
-                continue
-            weights = _attention_over_samples(maps[r].data[qy, qx], samples.features, params)
-            best = samples.locations[int(np.argmax(weights))]
-            span = float(np.linalg.norm(samples.locations[-1] - samples.locations[0]))
-            step = span / (k - 1) if k > 1 else span / 2.0
-            if float(np.linalg.norm(best - proj[s, j])) <= step + 1e-9:
-                hits[j] += 1
-    return hits, totals
-
-
-def _reference_profiles(maps, cams_m, proj, visible, src_of, scene, params, k):
-    """Similarity profile of every joint as seen from reference view 0."""
-    r = 0
-    s = src_of[r]
-    profiles: list[dict | None] = [None] * scene.n_joints
-    t_values = np.arange(k, dtype=np.float64) / (k - 1) if k > 1 else np.array([0.5])
-    for j in range(scene.n_joints):
-        if not (visible[r, j] and visible[s, j]):
-            continue
+    profiles: list[dict | None] = [None] * n_joints
+    for j in np.flatnonzero(visible[r] & visible[s]):
+        totals[j] = 1
         qx, qy = _query_pixel(proj[r, j], maps[r].width, maps[r].height)
-        samples = epipolar_samples(maps[s], cams_m[r], cams_m[s], (float(qx), float(qy)), k)
-        if samples is None:
+        if not record.valid[qy, qx]:
             continue
-        query = maps[r].data[qy, qx]
-        weights = _attention_over_samples(query, samples.features, params)
-        profiles[j] = {
-            "ref_view": r,
-            "src_view": s,
-            "t": [float(v) for v in t_values],
-            "x": [float(v) for v in samples.locations[:, 0]],
-            "y": [float(v) for v in samples.locations[:, 1]],
-            "weight": [float(v) for v in weights],
-            "dot": [float(v) for v in samples.features @ query],
-        }
-    return profiles
+        locations, weights = record.locations[qy, qx], record.weights[qy, qx]
+        best = locations[int(np.argmax(weights))]
+        span = float(np.linalg.norm(locations[-1] - locations[0]))
+        step = span / (k - 1) if k > 1 else span / 2.0
+        hits[j] = float(np.linalg.norm(best - proj[s, j])) <= step + 1e-9
+        if r == 0:
+            dots = bilinear_many(maps[s], locations) @ maps[r].data[qy, qx]
+            profiles[j] = _profile(r, s, locations, weights, dots)
+    return result.fused, hits, totals, profiles
+
+
+def _profile(ref_view: int, src_view: int, locations, weights, dots) -> dict:
+    """Similarity profile: K sample locations, their weights and raw dots."""
+    return {
+        "ref_view": ref_view,
+        "src_view": src_view,
+        "t": sample_parameters(len(weights)).tolist(),
+        "x": locations[:, 0].tolist(),
+        "y": locations[:, 1].tolist(),
+        "weight": weights.tolist(),
+        "dot": dots.tolist(),
+    }
 
 
 # -- scenario configuration ----------------------------------------------------
@@ -654,18 +637,10 @@ def similarity_profile(
     if samples is None:
         return None
     query = map_r.data[qy, qx]
-    weights = _attention_over_samples(query, samples.features, params)
-    t_values = np.arange(config.k, dtype=np.float64) / (config.k - 1) if config.k > 1 else np.array([0.5])
-    return {
-        "ref_view": ref_view,
-        "src_view": src_view,
-        "joint": joint,
-        "t": [float(v) for v in t_values],
-        "x": [float(v) for v in samples.locations[:, 0]],
-        "y": [float(v) for v in samples.locations[:, 1]],
-        "weight": [float(v) for v in weights],
-        "dot": [float(v) for v in samples.features @ query],
-    }
+    weights = _attend(params, query[None, :], samples.features[None])[0][0]
+    profile = _profile(ref_view, src_view, samples.locations, weights, samples.features @ query)
+    profile["joint"] = joint
+    return profile
 
 
 def report_to_dict(report: PipelineReport, config: ScenarioConfig | None = None) -> dict:

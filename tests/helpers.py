@@ -75,3 +75,41 @@ def rectified_pair(
     m_ref = np.hstack([np.eye(3), np.zeros((3, 1))])
     m_src = np.hstack([np.eye(3), np.array([[-baseline], [0.0], [0.0]])])
     return CameraView(m_ref, width, height), CameraView(m_src, width, height)
+
+
+# -- scalar fusion oracles ------------------------------------------------------
+#
+# Per-pixel reference math for the dense forward pass, written without the
+# library's batched attention code.
+
+
+def attention_weights(query, samples, params) -> np.ndarray:
+    """Weights of one query over its (K, C) samples; bottleneck scores embed first."""
+    query = np.asarray(query, dtype=np.float64)
+    samples = np.asarray(samples, dtype=np.float64)
+    if params.variant == "bottleneck":
+        query, samples = params.theta.T @ query, samples @ params.phi
+    z = params.temperature * np.array([float(s @ query) for s in samples])
+    if params.weight_mode == "max":
+        w = np.zeros(len(z))
+        w[int(np.argmax(z))] = 1.0
+        return w
+    e = np.exp(z - np.max(z))
+    return e / np.sum(e)
+
+
+def aggregate(weights, samples) -> np.ndarray:
+    """Convex combination sum_i w_i s_i of the sample rows."""
+    return np.asarray(weights, dtype=np.float64) @ np.asarray(samples, dtype=np.float64)
+
+
+def fuse_identity(ref_feat, agg, params) -> np.ndarray:
+    """Residual fusion out = ref + W_z @ agg for the identity variant."""
+    return np.asarray(ref_feat, dtype=np.float64) + params.w_z @ np.asarray(agg, dtype=np.float64)
+
+
+def fuse_bottleneck(ref_feat, samples, params) -> np.ndarray:
+    """Half-width embedded attention with an up-projection back to C."""
+    samples = np.asarray(samples, dtype=np.float64)
+    w = attention_weights(ref_feat, samples, params)
+    return np.asarray(ref_feat, dtype=np.float64) + params.w_z.T @ aggregate(w, samples @ params.g)

@@ -1,8 +1,10 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from epifuse import synth
 from epifuse.errors import (
     ConfigError,
     DescriptorSaturation,
@@ -11,6 +13,7 @@ from epifuse.errors import (
 )
 from epifuse.fusion import FusionParams
 from epifuse.geometry import CameraView, camera_center, project, pseudo_inverse
+from epifuse.sampler import epipolar_samples
 from epifuse.synth import (
     Rig,
     Scene,
@@ -28,6 +31,7 @@ from epifuse.synth import (
     scenario_to_dict,
     similarity_profile,
 )
+from helpers import attention_weights
 
 SMALL = ScenarioConfig(
     cameras=4,
@@ -327,3 +331,85 @@ class TestSimilarityProfile:
         a = similarity_profile(SMALL, 0, 1, 0)
         b = similarity_profile(SMALL, 0, 1, 0)
         assert a == b
+
+
+def recount_matches(cfg: ScenarioConfig) -> tuple[list[int], list[int]]:
+    """Per-joint (hits, totals) from one per-query sampling and attention each.
+
+    A hit is the argmax weight on the joint's rounded-pixel epipolar samples
+    landing within one sample step of its true source projection.
+    """
+    rig, scene, params, _ = build_scenario(cfg)
+    cams = rig.cameras
+    maps = [render_descriptor_map(cam, scene, cfg.sigma_px) for cam in cams]
+    last = cfg.image_wh - 1
+    hits = [0] * scene.n_joints
+    totals = [0] * scene.n_joints
+    for r, cam_r in enumerate(cams):
+        cost = np.abs(rig.angles_deg[r] - cfg.target_angle_deg)
+        cost[r] = np.inf
+        s = int(np.argmin(cost))
+        for j, joint in enumerate(scene.joints):
+            p_r, p_s = project(cam_r, joint), project(cams[s], joint)
+            if not all(0.0 <= p[0] <= last and 0.0 <= p[1] <= last for p in (p_r, p_s)):
+                continue
+            totals[j] += 1
+            qx, qy = (int(np.clip(np.rint(v), 0, last)) for v in p_r)
+            samples = epipolar_samples(maps[s], cam_r, cams[s], (float(qx), float(qy)), cfg.k)
+            if samples is None:
+                continue
+            w = attention_weights(maps[r].data[qy, qx], samples.features, params)
+            loc = samples.locations
+            step = np.linalg.norm(loc[-1] - loc[0]) / (cfg.k - 1)
+            hits[j] += int(np.linalg.norm(loc[int(np.argmax(w))] - p_s) <= step + 1e-9)
+    return hits, totals
+
+
+@pytest.fixture(
+    scope="module",
+    params=[("identity", "softmax"), ("identity", "max"),
+            ("bottleneck", "softmax"), ("bottleneck", "max")],
+    ids=lambda vm: "-".join(vm),
+)
+def small_variant_run(request):
+    cfg = replace(SMALL, variant=request.param[0], weight_mode=request.param[1])
+    return cfg, run_scenario(cfg)
+
+
+class TestMatchingFromFusedWeights:
+    """Matching accuracy and profiles are the weights of the fusion pass."""
+
+    def test_counts_equal_per_query_recount(self, small_variant_run):
+        cfg, report = small_variant_run
+        hits, totals = recount_matches(cfg)
+        assert [o.match_hits for o in report.per_joint] == hits
+        assert [o.match_total for o in report.per_joint] == totals
+        assert sum(totals) > 0 and sum(hits) > 0
+
+    def test_profiles_equal_similarity_profile(self, small_variant_run):
+        cfg, report = small_variant_run
+        src = next(o.profile["src_view"] for o in report.per_joint if o.profile)
+        compared = 0
+        for outcome in report.per_joint:
+            got = outcome.profile
+            want = similarity_profile(cfg, 0, src, outcome.joint)
+            assert (got is None) == (want is None)
+            if got is None:
+                continue
+            assert want.pop("joint") == outcome.joint
+            assert got.keys() == want.keys()
+            assert (got["ref_view"], got["src_view"], got["t"]) == (
+                want["ref_view"], want["src_view"], want["t"])
+            for key in ("x", "y", "weight", "dot"):
+                assert np.max(np.abs(np.subtract(got[key], want[key]))) <= 1e-12
+            compared += 1
+        assert compared > 0
+
+    def test_pipeline_needs_no_per_query_sampler(self, small_variant_run, monkeypatch):
+        cfg, report = small_variant_run
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("run_pipeline sampled a single query")
+
+        monkeypatch.setattr(synth, "epipolar_samples", refuse)
+        assert report_json(run_scenario(cfg), cfg) == report_json(report, cfg)
