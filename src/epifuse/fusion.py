@@ -13,10 +13,14 @@ where the bottleneck scores in an embedded half-width space, w ~ softmax of
 are passed through unchanged. Logits are plain dot products; an optional
 temperature scales them and defaults to 1.
 
-The forward pass can retain per-pixel weights (the pipeline reads matching
-accuracy and similarity profiles from them) and the intermediate state
-needed by transformer_backward, which returns exact analytic gradients for
-both feature maps and all fusion parameters. Sample locations depend only
+The forward pass gathers and attends the valid pixels in fixed blocks of
+_BLOCK, so its memory is the sampling plan plus one block of samples, and
+its output bytes depend on neither the block nor the thread count: every
+pixel's arithmetic is the same whichever block it falls in. It can retain
+per-pixel weights (the pipeline reads matching accuracy and similarity
+profiles from them) and the intermediate state needed by
+transformer_backward, which returns exact analytic gradients for both
+feature maps and all fusion parameters. Sample locations depend only
 on camera geometry, so no gradient flows through them; in max mode the
 weights are piecewise constant and the backward pass differentiates the
 locally selected branch.
@@ -45,12 +49,24 @@ from .geometry import (
     fundamental_matrix,
     normalize_lines,
 )
-from .sampler import FeatureMap, bilinear_plan, clip_lines, sample_parameters
+from .sampler import (
+    FeatureMap,
+    bilinear_gather,
+    bilinear_plan,
+    bilinear_scatter,
+    clip_lines,
+    sample_parameters,
+)
 
 ETWT_MAGIC = b"ETWT"
 
 VARIANTS = ("identity", "bottleneck")
 WEIGHT_MODES = ("softmax", "max")
+
+# Valid reference pixels gathered and attended together by
+# transformer_forward. A constant, so that output bytes never depend on the
+# thread count or the input.
+_BLOCK = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,9 +180,11 @@ class SamplingPlan:
     """Geometry of a dense forward pass: one epipolar segment per pixel.
 
     valid flags the reference pixels (row-major) whose line intersects the
-    source map; locations, corner indices, and blend weights cover only
-    those pixels. Built once per view pair, the plan is reusable across any
-    feature or parameter values at the same resolutions.
+    source map; locations and the bilinear_plan of their reads (corner
+    indices and blend weights) cover only those pixels, K reads per pixel
+    in pixel order. Built once per view pair, the plan is reusable across
+    any feature or parameter values at the same resolutions, and it is all
+    the memory a forward pass holds besides one block of samples.
     """
 
     ref_hw: tuple[int, int]
@@ -174,12 +192,8 @@ class SamplingPlan:
     k: int
     valid: np.ndarray  # (H*W,) bool
     locations: np.ndarray  # (n_valid, K, 2)
-    y0: np.ndarray  # (n_valid*K,) bilinear corner rows
-    x0: np.ndarray
-    w00: np.ndarray
-    w10: np.ndarray
-    w01: np.ndarray
-    w11: np.ndarray
+    corner: np.ndarray  # (n_valid*K,) flat top-left corner index
+    blend: np.ndarray  # (4, n_valid*K) corner weights
 
 
 @dataclass(eq=False)
@@ -252,36 +266,19 @@ def plan_epipolar_sampling(
 
     t = sample_parameters(k)
     p0 = ends[valid, :2]
-    d = ends[valid, 2:] - ends[valid, :2]
-    locations = p0[:, None, :] + t[None, :, None] * d[:, None, :]
-    y0, x0, w00, w10, w01, w11 = bilinear_plan(src_h, src_w, locations.reshape(-1, 2))
+    d = ends[valid, 2:] - p0
+    locations = t[None, :, None] * d[:, None, :]
+    locations += p0[:, None, :]
+    corner, blend = bilinear_plan(src_h, src_w, locations.reshape(-1, 2))
     return SamplingPlan(
         ref_hw=(ref_h, ref_w),
         src_hw=(src_h, src_w),
         k=k,
         valid=valid,
         locations=locations,
-        y0=y0,
-        x0=x0,
-        w00=w00,
-        w10=w10,
-        w01=w01,
-        w11=w11,
+        corner=corner,
+        blend=blend,
     )
-
-
-def _gather_samples(plan: SamplingPlan, src_data: np.ndarray) -> np.ndarray:
-    src_h, src_w = plan.src_hw
-    c = src_data.shape[2]
-    flat = src_data.reshape(src_h * src_w, c)
-    i00 = plan.y0 * src_w + plan.x0
-    s = (
-        plan.w00[:, None] * flat[i00]
-        + plan.w10[:, None] * flat[i00 + 1]
-        + plan.w01[:, None] * flat[i00 + src_w]
-        + plan.w11[:, None] * flat[i00 + src_w + 1]
-    )
-    return s.reshape(-1, plan.k, c)
 
 
 def _batch_weights(logits: np.ndarray, mode: str) -> np.ndarray:
@@ -334,9 +331,11 @@ def transformer_forward(
     """Fuse the reference map with epipolar-sampled source features.
 
     Every pixel is processed independently; skipped pixels (no epipolar
-    intersection) keep their reference feature bit for bit. Pass a
-    precomputed plan to amortize the geometry across repeated calls with
-    the same cameras, map shapes, and K.
+    intersection) keep their reference feature bit for bit. Valid pixels
+    are gathered and attended in fixed blocks of _BLOCK, so memory beyond
+    the plan is one block of samples unless record_grad keeps them all.
+    Pass a precomputed plan to amortize the geometry across repeated calls
+    with the same cameras, map shapes, and K.
     """
     if f_ref.channels != f_src.channels:
         raise ChannelMismatch(
@@ -356,10 +355,33 @@ def transformer_forward(
         raise ShapeMismatch("sampling plan does not match the map shapes")
 
     h, w = plan.ref_hw
+    src_h, src_w = plan.src_hw
+    k = plan.k
     valid = plan.valid
     queries = f_ref.data.reshape(h * w, c)[valid]
-    samples = _gather_samples(plan, f_src.data)
-    weights, out, saved = _attend(params, queries, samples)
+    src_flat = f_src.data.reshape(src_h * src_w, c)
+    n = len(queries)
+    weights = np.empty((n, k))
+    out = np.empty((n, c))
+    samples = np.empty((n, k, c)) if record_grad else None
+    saved: dict[str, np.ndarray] = {}
+    # One block even when n == 0, so the saved intermediates exist. A
+    # one-row matmul takes BLAS's matrix-vector path, which rounds
+    # differently, so a lone last row joins the block before it.
+    starts = list(range(0, n, _BLOCK)) or [0]
+    if n > 1 and n % _BLOCK == 1:
+        starts.pop()
+    for lo, hi in zip(starts, starts[1:] + [n]):
+        reads = slice(lo * k, hi * k)
+        block = bilinear_gather(src_flat, src_w, plan.corner[reads], plan.blend[:, reads])
+        block = block.reshape(hi - lo, k, c)
+        weights[lo:hi], out[lo:hi], block_saved = _attend(params, queries[lo:hi], block)
+        if record_grad:
+            samples[lo:hi] = block
+            for name, value in block_saved.items():
+                if name not in saved:
+                    saved[name] = np.empty((n,) + value.shape[1:])
+                saved[name][lo:hi] = value
 
     fused_flat = f_ref.data.reshape(h * w, c).copy()
     fused_flat[valid] = out
@@ -386,8 +408,9 @@ def transformer_backward(state: _ForwardState | None, grad_fused: np.ndarray) ->
     grad_fused is dL/d(fused map) as an (H, W, C) array. Returns gradients for
     the reference map, the source map, and every fusion parameter; skipped
     pixels contribute identity gradients to the reference map only. Bilinear
-    reads scatter back to their four corner pixels; the scatter accumulates
-    in a fixed order, so results are reproducible run to run.
+    reads scatter back to their four corner pixels through bilinear_scatter,
+    which accumulates in a fixed order, so results are reproducible run to
+    run.
     """
     if state is None:
         raise StateMissing("forward pass was not run with record_grad=True")
@@ -435,13 +458,9 @@ def transformer_backward(state: _ForwardState | None, grad_fused: np.ndarray) ->
             ds += np.einsum("nkd,cd->nkc", dv, params.phi)
             phi_g += np.einsum("nkc,nkd->cd", samples, dv)
 
-    d_src_flat = np.zeros((src_h * src_w, c))
-    ds_flat = ds.reshape(-1, c)
-    i00 = plan.y0 * src_w + plan.x0
-    np.add.at(d_src_flat, i00, plan.w00[:, None] * ds_flat)
-    np.add.at(d_src_flat, i00 + 1, plan.w10[:, None] * ds_flat)
-    np.add.at(d_src_flat, i00 + src_w, plan.w01[:, None] * ds_flat)
-    np.add.at(d_src_flat, i00 + src_w + 1, plan.w11[:, None] * ds_flat)
+    d_src_flat = bilinear_scatter(
+        ds.reshape(-1, c), src_h * src_w, src_w, plan.corner, plan.blend
+    )
 
     return FusionGradients(
         f_ref=d_ref.reshape(h, w, c),

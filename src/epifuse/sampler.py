@@ -214,41 +214,83 @@ def sample_locations(segment: Segment2D, k: int) -> np.ndarray:
     return p0[None, :] + t[:, None] * d[None, :]
 
 
-def bilinear_plan(
-    height: int, width: int, points: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def bilinear_plan(height: int, width: int, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Corner indices and blend weights for clamp-to-border bilinear reads.
 
     Points are clamped into [0, W-1] x [0, H-1] first, so out-of-range
-    queries replicate the border row or column. Returns
-    (y0, x0, w00, w10, w01, w11) with the second corner at (y0+1, x0+1).
+    queries replicate the border row or column. Returns (corner, blend):
+    corner is the row-major flat index y0*W + x0 of each read's top-left
+    corner, and blend is (4, N), the weights of the corners at offsets
+    0, 1, W and W+1 from it (w00, w10, w01, w11).
     """
     points = np.asarray(points, dtype=np.float64)
     # np.maximum(0.0, v) keeps v on a tie, as np.clip does, so -0.0 stays
     # -0.0. floor(x) >= 0 once x is clamped: x0 and y0 need no lower clamp.
-    x = np.minimum(np.maximum(0.0, points[:, 0]), float(width - 1))
-    y = np.minimum(np.maximum(0.0, points[:, 1]), float(height - 1))
+    # Temporaries are written in place, because a dense plan holds millions
+    # of reads.
+    x = np.maximum(0.0, points[:, 0])
+    np.minimum(x, float(width - 1), out=x)
+    y = np.maximum(0.0, points[:, 1])
+    np.minimum(y, float(height - 1), out=y)
     x0 = np.minimum(np.floor(x), float(width - 2)).astype(np.intp)
     y0 = np.minimum(np.floor(y), float(height - 2)).astype(np.intp)
-    fx = x - x0
-    fy = y - y0
-    w00 = (1.0 - fx) * (1.0 - fy)
-    w10 = fx * (1.0 - fy)
-    w01 = (1.0 - fx) * fy
-    w11 = fx * fy
-    return y0, x0, w00, w10, w01, w11
+    fx = np.subtract(x, x0, out=x)
+    fy = np.subtract(y, y0, out=y)
+    corner = np.multiply(y0, width, out=y0)
+    corner += x0
+    blend = np.empty((4, len(points)))
+    gx = np.subtract(1.0, fx, out=blend[2])
+    gy = np.subtract(1.0, fy, out=blend[1])
+    np.multiply(gx, gy, out=blend[0])
+    np.multiply(fx, gy, out=blend[1])
+    np.multiply(gx, fy, out=blend[2])
+    np.multiply(fx, fy, out=blend[3])
+    return corner, blend
+
+
+def _corner_index(corner: np.ndarray, width: int) -> np.ndarray:
+    """(4, N) flat indices of the four corners of every read."""
+    return corner + np.array([0, 1, width, width + 1], dtype=np.intp)[:, None]
+
+
+def bilinear_gather(
+    flat: np.ndarray, width: int, corner: np.ndarray, blend: np.ndarray
+) -> np.ndarray:
+    """(N, C) bilinear reads of a row-major (H*W, C) map from a bilinear_plan.
+
+    One gather of the four stacked corners, blended in place in the fixed
+    order w00*a + w10*b + w01*c + w11*d.
+    """
+    g = np.take(flat, _corner_index(corner, width), axis=0)
+    g *= blend[:, :, None]
+    s = g[0]
+    s += g[1]
+    s += g[2]
+    s += g[3]
+    return s
+
+
+def bilinear_scatter(
+    grad: np.ndarray, size: int, width: int, corner: np.ndarray, blend: np.ndarray
+) -> np.ndarray:
+    """Adjoint of bilinear_gather: (size, C) sums of (N, C) read gradients.
+
+    Each channel is one segment sum over the corners in plan order (all
+    top-left corners first, then right, lower, lower-right), so every map
+    pixel adds its contributions in a fixed order.
+    """
+    index = _corner_index(corner, width).ravel()
+    out = np.empty((size, grad.shape[1]))
+    for ch in range(grad.shape[1]):
+        out[:, ch] = np.bincount(index, (blend * grad[:, ch]).ravel(), minlength=size)
+    return out
 
 
 def bilinear_many(fmap: FeatureMap, points: np.ndarray) -> np.ndarray:
     """(N, C) bilinear reads at (N, 2) pixel locations."""
-    y0, x0, w00, w10, w01, w11 = bilinear_plan(fmap.height, fmap.width, points)
-    d = fmap.data
-    return (
-        w00[:, None] * d[y0, x0]
-        + w10[:, None] * d[y0, x0 + 1]
-        + w01[:, None] * d[y0 + 1, x0]
-        + w11[:, None] * d[y0 + 1, x0 + 1]
-    )
+    corner, blend = bilinear_plan(fmap.height, fmap.width, points)
+    flat = fmap.data.reshape(fmap.height * fmap.width, fmap.channels)
+    return bilinear_gather(flat, fmap.width, corner, blend)
 
 
 def bilinear_sample(fmap: FeatureMap, point: np.ndarray) -> np.ndarray:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from epifuse.fusion import _attend
 from epifuse.geometry import CameraView, project
 
 
@@ -113,3 +114,50 @@ def fuse_bottleneck(ref_feat, samples, params) -> np.ndarray:
     samples = np.asarray(samples, dtype=np.float64)
     w = attention_weights(ref_feat, samples, params)
     return np.asarray(ref_feat, dtype=np.float64) + params.w_z.T @ aggregate(w, samples @ params.g)
+
+
+# -- dense pass oracles -----------------------------------------------------------
+#
+# The dense forward pass with every sample gathered before one attention call,
+# and the bilinear backward scatter as four sequential np.add.at, against which
+# the blocked forward and the segment-sum scatter must agree bit for bit.
+
+
+def gather_all_samples(plan, src_data) -> np.ndarray:
+    """(n_valid, K, C) samples of every valid pixel, by four fancy-index gathers."""
+    src_h, src_w = plan.src_hw
+    c = src_data.shape[2]
+    flat = src_data.reshape(src_h * src_w, c)
+    i00 = plan.corner
+    w00, w10, w01, w11 = plan.blend
+    s = (
+        w00[:, None] * flat[i00]
+        + w10[:, None] * flat[i00 + 1]
+        + w01[:, None] * flat[i00 + src_w]
+        + w11[:, None] * flat[i00 + src_w + 1]
+    )
+    return s.reshape(-1, plan.k, c)
+
+
+def unblocked_forward(f_ref, f_src, params, plan) -> tuple[np.ndarray, dict]:
+    """Fused (H, W, C) map and the _ForwardState arrays, keyed by field name."""
+    h, w = plan.ref_hw
+    c = f_ref.channels
+    queries = f_ref.data.reshape(h * w, c)[plan.valid]
+    samples = gather_all_samples(plan, f_src.data)
+    weights, out, saved = _attend(params, queries, samples)
+    fused = f_ref.data.reshape(h * w, c).copy()
+    fused[plan.valid] = out
+    state = {"query": queries, "samples": samples, "weights": weights, **saved}
+    return fused.reshape(h, w, c), state
+
+
+def add_at_scatter(grad, size, width, corner, blend) -> np.ndarray:
+    """(size, C) sums of (N, C) read gradients into their four bilinear corners."""
+    out = np.zeros((size, grad.shape[1]))
+    w00, w10, w01, w11 = blend
+    np.add.at(out, corner, w00[:, None] * grad)
+    np.add.at(out, corner + 1, w10[:, None] * grad)
+    np.add.at(out, corner + width, w01[:, None] * grad)
+    np.add.at(out, corner + width + 1, w11[:, None] * grad)
+    return out

@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +8,9 @@ from hypothesis import strategies as st
 
 from epifuse.errors import ChannelMismatch, ConfigError, OddChannels, ShapeMismatch
 from epifuse.fusion import (
+    _BLOCK,
     FusionParams,
+    _ForwardState,
     load_fusion_params,
     plan_epipolar_sampling,
     save_fusion_params,
@@ -13,13 +18,16 @@ from epifuse.fusion import (
     transformer_forward,
 )
 from epifuse.geometry import CameraView
-from epifuse.sampler import FeatureMap, bilinear_sample, epipolar_samples
+from epifuse.sampler import FeatureMap, bilinear_sample, bilinear_scatter, epipolar_samples
 from helpers import (
+    add_at_scatter,
     aggregate,
     attention_weights,
     fuse_bottleneck,
     fuse_identity,
+    look_at_camera,
     rectified_pair,
+    unblocked_forward,
 )
 
 
@@ -288,6 +296,120 @@ class TestTransformerForward:
         params = make_params("identity", "softmax", 4)
         with pytest.raises(ShapeMismatch):
             transformer_forward(f_ref, f_src, ref, src, params, k=8)
+
+
+def general_pair(size):
+    """Two cameras about 30 degrees apart whose lines cross most of a size x size map."""
+    focal = 1.6 * size
+    ref = look_at_camera((1000.0, 0.0, 300.0), focal, size, size)
+    src = look_at_camera((800.0, 500.0, 350.0), focal, size, size)
+    return ref, src
+
+
+def first_valid(plan, n):
+    """The plan restricted to its first n valid pixels; the rest are skipped."""
+    reads = n * plan.k
+    return dataclasses.replace(
+        plan,
+        valid=plan.valid & (np.cumsum(plan.valid) <= n),
+        locations=plan.locations[:n],
+        corner=plan.corner[:reads],
+        blend=plan.blend[:, :reads],
+    )
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+VALID_COUNTS = [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 37]
+
+
+class TestBlockedForward:
+    """The blocked forward pass equals the unblocked oracle bit for bit."""
+
+    K = 7
+    C = 6
+
+    @pytest.fixture(scope="class")
+    def pair(self):
+        ref, src = general_pair(32)
+        rng = np.random.default_rng(20)
+        f_ref = FeatureMap(rng.standard_normal((32, 32, self.C)))
+        f_src = FeatureMap(rng.standard_normal((32, 32, self.C)))
+        plan = plan_epipolar_sampling(ref, src, (32, 32), (32, 32), self.K)
+        assert np.count_nonzero(plan.valid) >= VALID_COUNTS[-1]
+        return ref, src, f_ref, f_src, plan
+
+    @pytest.mark.parametrize("n_valid", VALID_COUNTS)
+    @pytest.mark.parametrize("variant", ["identity", "bottleneck"])
+    @pytest.mark.parametrize("mode", ["softmax", "max"])
+    def test_matches_unblocked_oracle(self, pair, n_valid, variant, mode):
+        ref, src, f_ref, f_src, full_plan = pair
+        plan = first_valid(full_plan, n_valid)
+        params = dataclasses.replace(make_params(variant, mode, self.C, seed=21), temperature=1.7)
+        out = transformer_forward(
+            f_ref, f_src, ref, src, params, self.K,
+            plan=plan, record_weights=True, record_grad=True,
+        )
+        want_fused, want_state = unblocked_forward(f_ref, f_src, params, plan)
+        assert same_bits(out.fused.data, want_fused)
+
+        rec = out.weight_record
+        assert np.array_equal(rec.valid.ravel(), plan.valid)
+        assert same_bits(rec.weights[rec.valid], want_state["weights"])
+        assert same_bits(rec.locations[rec.valid], plan.locations)
+        assert np.isnan(rec.weights[~rec.valid]).all()
+
+        for field in dataclasses.fields(_ForwardState):
+            if field.name in ("plan", "params"):
+                continue
+            got = getattr(out.state, field.name)
+            if field.name in want_state:
+                assert same_bits(got, want_state[field.name]), field.name
+            else:
+                assert got is None, field.name
+
+    @pytest.mark.parametrize("n_valid", VALID_COUNTS)
+    def test_scatter_matches_add_at_oracle(self, pair, n_valid):
+        *_, full_plan = pair
+        plan = first_valid(full_plan, n_valid)
+        grad = np.random.default_rng(n_valid).standard_normal((plan.corner.size, self.C))
+        got = bilinear_scatter(grad, 32 * 32, 32, plan.corner, plan.blend)
+        assert same_bits(got, add_at_scatter(grad, 32 * 32, 32, plan.corner, plan.blend))
+
+    def test_forward_memory_is_plan_plus_one_block(self):
+        # 160x160, K=64, C=16: all samples at once would take 200 MB. The
+        # weights (13 MB), queries and outputs (3 MB each) and one block
+        # must fit well inside 64 MB.
+        ref, src = general_pair(160)
+        rng = np.random.default_rng(22)
+        f_ref = FeatureMap(rng.standard_normal((160, 160, 16)))
+        f_src = FeatureMap(rng.standard_normal((160, 160, 16)))
+        params = make_params("identity", "softmax", 16, seed=23)
+        plan = plan_epipolar_sampling(ref, src, (160, 160), (160, 160), 64)
+        assert np.count_nonzero(plan.valid) > 0.9 * 160 * 160
+        tracemalloc.start()
+        try:
+            transformer_forward(f_ref, f_src, ref, src, params, 64, plan=plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
+
+    def test_plan_setup_memory(self):
+        # The plan keeps 7 values per read (2 location, 1 corner, 4 blend).
+        # Set-up may add 3 read-sized temporaries (clamped x and y, and the
+        # x corner) and per-pixel line arrays worth well under half a read.
+        ref, src = general_pair(160)
+        tracemalloc.start()
+        try:
+            plan = plan_epipolar_sampling(ref, src, (160, 160), (160, 160), 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10.5 * plan.corner.size * 8
 
 
 class TestParamsValidation:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from epifuse.sampler import (
     EpipolarSampleSet,
     FeatureMap,
     Segment2D,
+    bilinear_plan,
     bilinear_sample,
     clip_line_to_image,
     clip_lines,
@@ -242,6 +245,22 @@ class TestBilinear:
             + dx * dy * d[y0 + 1, x0 + 1]
         )
         assert np.allclose(bilinear_sample(fmap, (x, y)), want, atol=1e-12)
+
+    def test_plan_matches_integer_corner_oracle(self):
+        # Scalar oracle with integer corners, bit for bit, signed zeros
+        # included: -0.0 stays -0.0 through the clamp and x - x0 keeps it.
+        h, w = 4, 5
+        pts = [(-0.0, -0.0), (-0.0, 2.5), (3.25, -0.0), (-1.0, 1.0), (4.0, 3.0),
+               (2.7, 1.2), (0.5, 2.999), (math.inf, -math.inf), (-math.inf, 1e-300)]
+        corner, blend = bilinear_plan(h, w, np.array(pts))
+        for i, (px, py) in enumerate(pts):
+            x = min(px if px >= 0.0 else 0.0, w - 1.0)
+            y = min(py if py >= 0.0 else 0.0, h - 1.0)
+            x0, y0 = min(math.floor(x), w - 2), min(math.floor(y), h - 2)
+            fx, fy = x - x0, y - y0
+            want = [(1.0 - fx) * (1.0 - fy), fx * (1.0 - fy), (1.0 - fx) * fy, fx * fy]
+            assert corner[i] == y0 * w + x0
+            assert blend[:, i].tobytes() == np.array(want).tobytes(), (px, py)
 
     def test_clamps_to_border(self):
         rng = np.random.default_rng(3)
