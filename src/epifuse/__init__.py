@@ -24,18 +24,14 @@ from .errors import (
 from .geometry import (
     CameraView,
     EpipolarLine,
-    Tolerances,
     apply_affine_to_camera,
     camera_center,
     epipolar_line,
     fundamental_matrix,
-    load_camera,
     load_rig_file,
     project,
     pseudo_inverse,
     rescale_camera,
-    save_camera,
-    save_rig_file,
     skew,
 )
 from .sampler import (
@@ -54,9 +50,7 @@ from .fusion import (
     FusionParams,
     SamplingPlan,
     WeightRecord,
-    load_fusion_params,
     plan_epipolar_sampling,
-    save_fusion_params,
     similarity_weights,
     transformer_backward,
     transformer_forward,
@@ -71,16 +65,12 @@ from .triangulation import (
     save_observations,
 )
 from .metrics import (
-    Pose2D,
     Pose3D,
     argmax_peak,
     jdr,
     load_pose_csv,
     mpjpe,
-    mse_loss,
-    render_gaussian_heatmap,
     save_pose_csv,
-    select_best_view,
 )
 from .synth import (
     GradCheckResult,

@@ -58,16 +58,11 @@ file formats:
   observations    CSV header view_id,joint_id,x,y,confidence
   pose CSV        header joint_id,x,y[,z],confidence
   feature map     binary, magic FMAP + u32 H,W,C + float32 row-major values
-  fusion params   binary, magic ETWT + variant/mode bytes + u32 C + float64
-                  matrices (w_z, then theta/phi/g for the bottleneck variant)
 """
 
 
 def _write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    _replace_into(path, lambda tmp: tmp.write_text(text))
 
 
 def _replace_into(path: Path, save) -> None:

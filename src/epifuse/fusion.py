@@ -28,23 +28,18 @@ locally selected branch.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import (
     ChannelMismatch,
-    ConfigError,
     OddChannels,
     ShapeMismatch,
     StateMissing,
 )
 from .geometry import (
-    DEFAULT_TOLERANCES,
     CameraView,
-    Tolerances,
     camera_at_resolution,
     fundamental_matrix,
     normalize_lines,
@@ -57,8 +52,6 @@ from .sampler import (
     clip_lines,
     sample_parameters,
 )
-
-ETWT_MAGIC = b"ETWT"
 
 VARIANTS = ("identity", "bottleneck")
 WEIGHT_MODES = ("softmax", "max")
@@ -244,7 +237,6 @@ def plan_epipolar_sampling(
     ref_hw: tuple[int, int],
     src_hw: tuple[int, int],
     k: int = 64,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> SamplingPlan:
     """Segments and bilinear plans for every reference pixel at once.
 
@@ -255,12 +247,12 @@ def plan_epipolar_sampling(
     src_h, src_w = src_hw
     ref = camera_at_resolution(ref, ref_w, ref_h)
     src = camera_at_resolution(src, src_w, src_h)
-    f = fundamental_matrix(ref, src, tol)
+    f = fundamental_matrix(ref, src)
 
     xs = np.tile(np.arange(ref_w, dtype=np.float64), ref_h)
     ys = np.repeat(np.arange(ref_h, dtype=np.float64), ref_w)
     pixels = np.stack([xs, ys, np.ones_like(xs)], axis=1)
-    lines, line_ok = normalize_lines(pixels @ f.T, tol)
+    lines, line_ok = normalize_lines(pixels @ f.T)
     clip_ok, ends = clip_lines(lines, src_w, src_h)
     valid = line_ok & clip_ok
 
@@ -326,7 +318,6 @@ def transformer_forward(
     plan: SamplingPlan | None = None,
     record_weights: bool = False,
     record_grad: bool = False,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> ForwardResult:
     """Fuse the reference map with epipolar-sampled source features.
 
@@ -346,7 +337,7 @@ def transformer_forward(
         raise ShapeMismatch(f"params are for {params.channels} channels, maps have {c}")
     if plan is None:
         plan = plan_epipolar_sampling(
-            ref, src, (f_ref.height, f_ref.width), (f_src.height, f_src.width), k, tol
+            ref, src, (f_ref.height, f_ref.width), (f_src.height, f_src.width), k
         )
     elif plan.ref_hw != (f_ref.height, f_ref.width) or plan.src_hw != (
         f_src.height,
@@ -471,54 +462,3 @@ def transformer_backward(state: _ForwardState | None, grad_fused: np.ndarray) ->
         g=g_g,
     )
 
-
-# -- parameter file I/O -------------------------------------------------------
-#
-# Binary layout: magic "ETWT", one variant byte (0 identity, 1 bottleneck),
-# one weight-mode byte (0 softmax, 1 max), u32 little-endian C, then the
-# matrices in declared order (w_z, then theta, phi, g for the bottleneck) as
-# little-endian float64 row-major.
-
-
-def save_fusion_params(params: FusionParams, path: str | Path) -> None:
-    header = ETWT_MAGIC + struct.pack(
-        "<BBI",
-        VARIANTS.index(params.variant),
-        WEIGHT_MODES.index(params.weight_mode),
-        params.channels,
-    )
-    blocks = [params.w_z]
-    if params.variant == "bottleneck":
-        blocks += [params.theta, params.phi, params.g]
-    Path(path).write_bytes(header + b"".join(b.astype("<f8").tobytes() for b in blocks))
-
-
-def load_fusion_params(path: str | Path) -> FusionParams:
-    raw = Path(path).read_bytes()
-    if len(raw) < 10 or raw[:4] != ETWT_MAGIC:
-        raise ConfigError(f"{path}: not a fusion parameter file (bad magic)")
-    variant_b, mode_b, c = struct.unpack("<BBI", raw[4:10])
-    if variant_b >= len(VARIANTS) or mode_b >= len(WEIGHT_MODES):
-        raise ConfigError(f"{path}: unknown variant or weight-mode byte")
-    variant = VARIANTS[variant_b]
-    mode = WEIGHT_MODES[mode_b]
-    if variant == "identity":
-        shapes = [(c, c)]
-    else:
-        if c % 2 != 0:
-            raise ConfigError(f"{path}: bottleneck channel count must be even")
-        shapes = [(c // 2, c)] + [(c, c // 2)] * 3
-    expected = 10 + 8 * sum(r * s for r, s in shapes)
-    if len(raw) != expected:
-        raise ConfigError(f"{path}: expected {expected} bytes, got {len(raw)}")
-    offset = 10
-    blocks = []
-    for r, s in shapes:
-        n = r * s
-        blocks.append(
-            np.frombuffer(raw, dtype="<f8", count=n, offset=offset).reshape(r, s).copy()
-        )
-        offset += 8 * n
-    if variant == "identity":
-        return FusionParams(variant, mode, blocks[0])
-    return FusionParams(variant, mode, blocks[0], theta=blocks[1], phi=blocks[2], g=blocks[3])

@@ -35,23 +35,15 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Degeneracy thresholds shared by the geometry operations.
-
-    rank_rel       relative singular-value cutoff for full row rank
-    line_rel       |(a, b)| / |l| below which a line has no image direction
-    center_rel     relative center separation below which views coincide
-    projection_w   |w| below which dehomogenization is refused
-    """
-
-    rank_rel: float = 1e-12
-    line_rel: float = 1e-12
-    center_rel: float = 1e-9
-    projection_w: float = 1e-12
-
-
-DEFAULT_TOLERANCES = Tolerances()
+# Degeneracy thresholds shared by the geometry operations:
+#   RANK_REL       relative singular-value cutoff for full row rank
+#   LINE_REL       |(a, b)| / |l| below which a line has no image direction
+#   CENTER_REL     relative center separation below which views coincide
+#   PROJECTION_W   |w| below which dehomogenization is refused
+RANK_REL = 1e-12
+LINE_REL = 1e-12
+CENTER_REL = 1e-9
+PROJECTION_W = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,7 +63,7 @@ class CameraView:
         if int(self.width) < 1 or int(self.height) < 1:
             raise ValueError("image extent must be at least 1x1 pixels")
         s = np.linalg.svd(M, compute_uv=False)
-        if s[2] < DEFAULT_TOLERANCES.rank_rel * s[0]:
+        if s[2] < RANK_REL * s[0]:
             raise RankDeficient("projection matrix is rank deficient")
         M.flags.writeable = False
         object.__setattr__(self, "M", M)
@@ -120,19 +112,18 @@ def skew(v: np.ndarray) -> np.ndarray:
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
-def camera_center(cam: CameraView, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def camera_center(cam: CameraView) -> np.ndarray:
     """Homogeneous camera center: the unit right null vector of M.
 
     The sign is fixed so the last nonzero coordinate is positive. M is
-    immutable, so the default-tolerance result is cached on the camera and
-    returned as a read-only view.
+    immutable, so the result is cached on the camera and returned as a
+    read-only view.
     """
-    if tol is DEFAULT_TOLERANCES:
-        cached = getattr(cam, "_center", None)
-        if cached is not None:
-            return cached
+    cached = getattr(cam, "_center", None)
+    if cached is not None:
+        return cached
     _, s, vt = np.linalg.svd(cam.M)
-    if s[2] < tol.rank_rel * s[0]:
+    if s[2] < RANK_REL * s[0]:
         raise RankDeficient("camera center undefined: matrix rank below 3")
     c = vt[3]
     c = c / np.linalg.norm(c)
@@ -140,55 +131,51 @@ def camera_center(cam: CameraView, tol: Tolerances = DEFAULT_TOLERANCES) -> np.n
     if c[nonzero[-1]] < 0.0:
         c = -c
     c.flags.writeable = False
-    if tol is DEFAULT_TOLERANCES:
-        object.__setattr__(cam, "_center", c)
+    object.__setattr__(cam, "_center", c)
     return c
 
 
-def pseudo_inverse(m: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def pseudo_inverse(m: np.ndarray) -> np.ndarray:
     """Moore-Penrose pseudo-inverse of a full-row-rank 3x4 matrix via SVD."""
     m = np.asarray(m, dtype=np.float64)
     if m.shape != (3, 4):
         raise ValueError(f"expected a 3x4 matrix, got {m.shape}")
     u, s, vt = np.linalg.svd(m, full_matrices=False)
-    if s[2] < tol.rank_rel * s[0]:
+    if s[2] < RANK_REL * s[0]:
         raise RankDeficient("pseudo-inverse undefined: matrix rank below 3")
     return (vt.T / s) @ u.T
 
 
-def _camera_pinv(cam: CameraView, tol: Tolerances) -> np.ndarray:
-    # Same default-tolerance caching as camera_center: one SVD per camera.
-    if tol is DEFAULT_TOLERANCES:
-        cached = getattr(cam, "_pinv", None)
-        if cached is not None:
-            return cached
-    pinv = pseudo_inverse(cam.M, tol)
+def _camera_pinv(cam: CameraView) -> np.ndarray:
+    # Same caching as camera_center: one SVD per camera.
+    cached = getattr(cam, "_pinv", None)
+    if cached is not None:
+        return cached
+    pinv = pseudo_inverse(cam.M)
     pinv.flags.writeable = False
-    if tol is DEFAULT_TOLERANCES:
-        object.__setattr__(cam, "_pinv", pinv)
+    object.__setattr__(cam, "_pinv", pinv)
     return pinv
 
 
-def _epipole_skew(ref: CameraView, src: CameraView, tol: Tolerances) -> np.ndarray:
+def _epipole_skew(ref: CameraView, src: CameraView) -> np.ndarray:
     """[M'C]_x for the pair, the left factor of every line and of F.
 
-    Raises CoincidentCenters when the two views share a center. At default
-    tolerances the result is cached on the reference camera for the last
-    source camera, matched by identity (`is`, not id(), so a freed camera
-    whose id is reused never hits): the check runs once per pair, and a pair
-    that fails it is never cached.
+    Raises CoincidentCenters when the two views share a center. The result
+    is cached on the reference camera for the last source camera, matched by
+    identity (`is`, not id(), so a freed camera whose id is reused never
+    hits): the check runs once per pair, and a pair that fails it is never
+    cached.
     """
-    if tol is DEFAULT_TOLERANCES:
-        cached = getattr(ref, "_epipole_skew", None)
-        if cached is not None and cached[0] is src:
-            return cached[1]
-    c_ref = camera_center(ref, tol)
-    c_src = camera_center(src, tol)
-    if abs(c_ref[3]) > tol.projection_w and abs(c_src[3]) > tol.projection_w:
+    cached = getattr(ref, "_epipole_skew", None)
+    if cached is not None and cached[0] is src:
+        return cached[1]
+    c_ref = camera_center(ref)
+    c_src = camera_center(src)
+    if abs(c_ref[3]) > PROJECTION_W and abs(c_src[3]) > PROJECTION_W:
         p_ref = c_ref[:3] / c_ref[3]
         p_src = c_src[:3] / c_src[3]
         scale = max(1.0, float(np.linalg.norm(p_ref)), float(np.linalg.norm(p_src)))
-        if float(np.linalg.norm(p_ref - p_src)) <= tol.center_rel * scale:
+        if float(np.linalg.norm(p_ref - p_src)) <= CENTER_REL * scale:
             raise CoincidentCenters("reference and source cameras share a center")
     else:
         # A center at infinity: compare the unit homogeneous vectors directly.
@@ -196,16 +183,15 @@ def _epipole_skew(ref: CameraView, src: CameraView, tol: Tolerances) -> np.ndarr
             float(np.linalg.norm(c_ref - c_src)),
             float(np.linalg.norm(c_ref + c_src)),
         )
-        if d <= tol.center_rel:
+        if d <= CENTER_REL:
             raise CoincidentCenters("reference and source cameras share a center")
     s = skew(src.M @ c_ref)
     s.flags.writeable = False
-    if tol is DEFAULT_TOLERANCES:
-        object.__setattr__(ref, "_epipole_skew", (src, s))
+    object.__setattr__(ref, "_epipole_skew", (src, s))
     return s
 
 
-def normalize_lines(lines: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[np.ndarray, np.ndarray]:
+def normalize_lines(lines: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Normalize a batch of (N, 3) lines to a^2 + b^2 = 1 with canonical sign.
 
     Returns (normalized, valid); rows with no image direction are flagged
@@ -214,7 +200,7 @@ def normalize_lines(lines: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> 
     lines = np.asarray(lines, dtype=np.float64)
     ab = np.hypot(lines[:, 0], lines[:, 1])
     total = np.linalg.norm(lines, axis=1)
-    valid = (total > 0.0) & (ab >= tol.line_rel * total)
+    valid = (total > 0.0) & (ab >= LINE_REL * total)
     safe = np.where(ab > 0.0, ab, 1.0)
     normed = lines / safe[:, None]
     a, b = normed[:, 0], normed[:, 1]
@@ -223,7 +209,7 @@ def normalize_lines(lines: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> 
     return normed * sign[:, None], valid
 
 
-def normalize_line(l: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> EpipolarLine:
+def normalize_line(l: np.ndarray) -> EpipolarLine:
     """Normalize a single line; raises DegenerateLine when |(a, b)| ~ 0.
 
     Plain-float twin of normalize_lines, equal to its row bit for bit on
@@ -237,7 +223,7 @@ def normalize_line(l: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> Epipo
     # np.hypot, not math.hypot: the two differ in the last bit.
     ab = float(np.hypot(a, b))
     total = math.sqrt(a * a + b * b + c * c)
-    if not (total > 0.0 and ab >= tol.line_rel * total):
+    if not (total > 0.0 and ab >= LINE_REL * total):
         raise DegenerateLine("line has no direction in the image plane")
     a, b, c = a / ab, b / ab, c / ab
     if a < 0.0 or (a == 0.0 and b < 0.0):
@@ -254,27 +240,20 @@ def _homogeneous_pixel(p: np.ndarray) -> np.ndarray:
     raise ValueError("pixel must be a 2-vector or homogeneous 3-vector")
 
 
-def epipolar_line(
-    ref: CameraView,
-    src: CameraView,
-    p: np.ndarray,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> EpipolarLine:
+def epipolar_line(ref: CameraView, src: CameraView, p: np.ndarray) -> EpipolarLine:
     """Epipolar line in the source image for reference pixel p."""
-    m_pinv = _camera_pinv(ref, tol)
-    l = _epipole_skew(ref, src, tol) @ (src.M @ (m_pinv @ _homogeneous_pixel(p)))
-    return normalize_line(l, tol)
+    m_pinv = _camera_pinv(ref)
+    l = _epipole_skew(ref, src) @ (src.M @ (m_pinv @ _homogeneous_pixel(p)))
+    return normalize_line(l)
 
 
-def fundamental_matrix(
-    ref: CameraView, src: CameraView, tol: Tolerances = DEFAULT_TOLERANCES
-) -> np.ndarray:
+def fundamental_matrix(ref: CameraView, src: CameraView) -> np.ndarray:
     """Fundamental matrix mapping reference pixels to source lines, l = F p.
 
     Rank 2 by construction; returned unnormalized (lines from it should be
     passed through normalize_line before use as distances).
     """
-    return _epipole_skew(ref, src, tol) @ src.M @ _camera_pinv(ref, tol)
+    return _epipole_skew(ref, src) @ src.M @ _camera_pinv(ref)
 
 
 def apply_affine_to_camera(
@@ -343,15 +322,13 @@ def camera_at_resolution(cam: CameraView, width: int, height: int) -> CameraView
     return rescale_camera(cam, cam.width / width, cam.height / height)
 
 
-def project(
-    cam: CameraView, x: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES
-) -> np.ndarray:
+def project(cam: CameraView, x: np.ndarray) -> np.ndarray:
     """Pixel projection of a 3D point (mm). Raises AtInfinity when |w| ~ 0."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (3,):
         raise ValueError("expected a 3D point")
     q = cam.M @ np.array([x[0], x[1], x[2], 1.0])
-    if abs(q[2]) < tol.projection_w:
+    if abs(q[2]) < PROJECTION_W:
         raise AtInfinity("point projects to infinity (principal plane)")
     return q[:2] / q[2]
 
@@ -387,20 +364,11 @@ def camera_from_dict(obj: dict) -> CameraView:
         raise ConfigError(f"invalid camera entry: {exc}") from exc
 
 
-def save_camera(cam: CameraView, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(camera_to_dict(cam), indent=2) + "\n")
-
-
-def load_camera(path: str | Path) -> CameraView:
-    return camera_from_dict(_read_json(path))
-
-
-def save_rig_file(cameras: list[CameraView], path: str | Path) -> None:
-    Path(path).write_text(rig_to_json(cameras))
-
-
 def load_rig_file(path: str | Path) -> list[CameraView]:
-    obj = _read_json(path)
+    try:
+        obj = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(obj, list):
         raise ConfigError("rig file must be a JSON array of cameras")
     return [camera_from_dict(entry) for entry in obj]
@@ -408,10 +376,3 @@ def load_rig_file(path: str | Path) -> list[CameraView]:
 
 def rig_to_json(cameras: list[CameraView]) -> str:
     return json.dumps([camera_to_dict(c) for c in cameras], indent=2) + "\n"
-
-
-def _read_json(path: str | Path):
-    try:
-        return json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc

@@ -1,9 +1,8 @@
-"""Heatmap rendering, peak readout, and pose accuracy metrics.
+"""Heatmap peak readout, pose accuracy metrics, and pose files.
 
-Heatmaps are unnormalized Gaussians with peak value 1 at the annotated
-location. Peak readout is an integer argmax refined by a quarter-pixel
-shift toward the larger immediate neighbor along each axis, the standard
-decoding for MSE-trained heatmap regressors.
+Peak readout is an integer argmax refined by a quarter-pixel shift toward
+the larger immediate neighbor along each axis, the standard decoding for
+MSE-trained heatmap regressors.
 """
 
 from __future__ import annotations
@@ -15,29 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, LengthMismatch, MaskMismatch, ShapeMismatch
-
-
-@dataclass(frozen=True, eq=False)
-class Pose2D:
-    """Per-joint 2D pixel points with confidences."""
-
-    points: np.ndarray  # (J, 2)
-    confidences: np.ndarray  # (J,)
-
-    def __post_init__(self) -> None:
-        pts = np.asarray(self.points, dtype=np.float64)
-        conf = np.asarray(self.confidences, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[1] != 2:
-            raise ValueError("points must be (J, 2)")
-        if conf.shape != (pts.shape[0],):
-            raise ValueError("confidences must be (J,)")
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "confidences", conf)
-
-    @property
-    def joints(self) -> int:
-        return self.points.shape[0]
+from .errors import ConfigError, LengthMismatch, MaskMismatch
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,28 +37,6 @@ class Pose3D:
     @property
     def joints(self) -> int:
         return self.points.shape[0]
-
-
-def render_gaussian_heatmap(
-    p: np.ndarray, sigma: float, height: int, width: int
-) -> np.ndarray:
-    """(H, W) map of exp(-|pixel - p|^2 / (2 sigma^2)), peak value 1 at p."""
-    if not (sigma > 0.0):
-        raise ValueError("sigma must be positive")
-    p = np.asarray(p, dtype=np.float64)
-    xs = np.arange(width, dtype=np.float64)
-    ys = np.arange(height, dtype=np.float64)
-    d2 = (xs[None, :] - p[0]) ** 2 + (ys[:, None] - p[1]) ** 2
-    return np.exp(-d2 / (2.0 * sigma * sigma))
-
-
-def mse_loss(pred: np.ndarray, target: np.ndarray) -> float:
-    """Mean squared error over all entries."""
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if pred.shape != target.shape:
-        raise ShapeMismatch(f"shapes differ: {pred.shape} vs {target.shape}")
-    return float(np.mean((pred - target) ** 2))
 
 
 def argmax_peak(heatmap: np.ndarray) -> tuple[tuple[float, float], float]:
@@ -140,21 +95,6 @@ def jdr(
         raise ValueError("head sizes must be positive")
     d = np.linalg.norm(pred - gt, axis=1)
     return float(100.0 * np.mean(d < 0.5 * heads))
-
-
-def select_best_view(predictions: Sequence[Pose2D]) -> Pose2D:
-    """Per-joint pick of the most confident view; ties go to the lower index."""
-    if not predictions:
-        raise ValueError("need at least one view of predictions")
-    joints = predictions[0].joints
-    for pose in predictions:
-        if pose.joints != joints:
-            raise LengthMismatch("views disagree on the joint count")
-    conf = np.stack([pose.confidences for pose in predictions])  # (V, J)
-    winner = np.argmax(conf, axis=0)
-    points = np.stack([predictions[winner[j]].points[j] for j in range(joints)])
-    confidences = conf[winner, np.arange(joints)]
-    return Pose2D(points=points, confidences=confidences)
 
 
 # -- pose file I/O ------------------------------------------------------------

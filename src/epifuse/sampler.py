@@ -18,10 +18,8 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateLine
 from .geometry import (
-    DEFAULT_TOLERANCES,
     CameraView,
     EpipolarLine,
-    Tolerances,
     camera_at_resolution,
     epipolar_line,
 )
@@ -74,14 +72,6 @@ class Segment2D:
     y0: float
     x1: float
     y1: float
-
-    @property
-    def p0(self) -> np.ndarray:
-        return np.array([self.x0, self.y0])
-
-    @property
-    def p1(self) -> np.ndarray:
-        return np.array([self.x1, self.y1])
 
     @property
     def length(self) -> float:
@@ -304,7 +294,6 @@ def epipolar_samples(
     src: CameraView,
     p: np.ndarray,
     k: int = 64,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> EpipolarSampleSet | None:
     """Sample the source map along the epipolar line of reference pixel p.
 
@@ -315,7 +304,7 @@ def epipolar_samples(
     """
     src = camera_at_resolution(src, f_src.width, f_src.height)
     try:
-        line = epipolar_line(ref, src, p, tol)
+        line = epipolar_line(ref, src, p)
     except DegenerateLine:
         return None
     segment = clip_line_to_image(line, f_src.width, f_src.height)

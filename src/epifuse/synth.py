@@ -43,7 +43,7 @@ from .fusion import (
     transformer_backward,
     transformer_forward,
 )
-from .geometry import CameraView, DEFAULT_TOLERANCES, camera_at_resolution
+from .geometry import PROJECTION_W, CameraView, camera_at_resolution
 from .metrics import Pose3D, argmax_peak, jdr, mpjpe
 from .sampler import FeatureMap, bilinear_many, epipolar_samples, sample_parameters
 from .triangulation import Observation, ransac_triangulate
@@ -129,17 +129,20 @@ def make_rig(
     return Rig(cameras=cameras, angles_deg=angles)
 
 
+# Descriptor draws make_scene spends before it gives up.
+_MAX_DRAWS = 1000
+
+
 def make_scene(
     n_joints: int,
     extent_mm: float,
     channels: int,
     seed: int | np.random.SeedSequence = 0,
-    max_draws: int = 1000,
 ) -> Scene:
     """Joints uniform in a centered cube with well-separated descriptors.
 
     Descriptors are unit vectors redrawn until every pairwise dot product
-    stays below 0.5; DescriptorSaturation is raised once max_draws draws
+    stays below 0.5; DescriptorSaturation is raised once _MAX_DRAWS draws
     have been spent (too many joints for too few channels).
     """
     if n_joints < 1:
@@ -153,7 +156,7 @@ def make_scene(
     accepted: list[np.ndarray] = []
     draws = 0
     while len(accepted) < n_joints:
-        if draws >= max_draws:
+        if draws >= _MAX_DRAWS:
             raise DescriptorSaturation(
                 f"{len(accepted)} of {n_joints} descriptors after {draws} draws"
             )
@@ -194,7 +197,7 @@ def render_descriptor_map(
     inv = 1.0 / (2.0 * sigma_px * sigma_px)
     for joint, desc in zip(scene.joints, scene.descriptors):
         q = cam_m.M @ np.array([joint[0], joint[1], joint[2], 1.0])
-        if q[2] <= DEFAULT_TOLERANCES.projection_w:
+        if q[2] <= PROJECTION_W:
             continue
         px, py = q[0] / q[2], q[1] / q[2]
         blob = np.exp(-((xs[None, :] - px) ** 2 + (ys[:, None] - py) ** 2) * inv)
@@ -289,7 +292,7 @@ def run_pipeline(
     for r in range(n_views):
         for j in range(n_joints):
             q = cams_m[r].M @ np.append(scene.joints[j], 1.0)
-            if q[2] <= DEFAULT_TOLERANCES.projection_w:
+            if q[2] <= PROJECTION_W:
                 continue
             p = q[:2] / q[2]
             proj[r, j] = p
@@ -627,7 +630,7 @@ def similarity_profile(
     map_s = render_descriptor_map(rig.cameras[src_view], scene, config.sigma_px, config.map_wh)
 
     q = cam_r.M @ np.append(scene.joints[joint], 1.0)
-    if q[2] <= DEFAULT_TOLERANCES.projection_w:
+    if q[2] <= PROJECTION_W:
         return None
     p = q[:2] / q[2]
     if not (0.0 <= p[0] <= cam_r.width - 1 and 0.0 <= p[1] <= cam_r.height - 1):

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import AtInfinity, ConfigError, Degenerate, NoConsensus
-from .geometry import DEFAULT_TOLERANCES, CameraView, Tolerances, project
+from .geometry import PROJECTION_W, CameraView, project
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,9 +50,7 @@ class TriangulationResult:
     rms_reproj: float  # pixels, over the inliers
 
 
-def dlt_triangulate(
-    observations: list[Observation], tol: Tolerances = DEFAULT_TOLERANCES
-) -> np.ndarray:
+def dlt_triangulate(observations: list[Observation]) -> np.ndarray:
     """Least-squares 3D point from two or more observations.
 
     Raises Degenerate when the two smallest singular values of the stacked
@@ -74,17 +72,15 @@ def dlt_triangulate(
     if s[-2] - s[-1] < 1e-9 * s[0]:
         raise Degenerate("triangulated direction is ambiguous")
     x = vt[-1]
-    if abs(x[3]) < tol.projection_w * np.linalg.norm(x):
+    if abs(x[3]) < PROJECTION_W * np.linalg.norm(x):
         raise Degenerate("triangulated point lies at infinity")
     return x[:3] / x[3]
 
 
-def reprojection_error(
-    cam: CameraView, x: np.ndarray, p: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES
-) -> float:
+def reprojection_error(cam: CameraView, x: np.ndarray, p: np.ndarray) -> float:
     """Euclidean pixel distance between project(cam, x) and the detection p."""
     p = np.asarray(p, dtype=np.float64)
-    return float(np.linalg.norm(project(cam, x, tol) - p))
+    return float(np.linalg.norm(project(cam, x) - p))
 
 
 def ransac_triangulate(

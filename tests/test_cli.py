@@ -123,6 +123,7 @@ class TestRigSceneGen:
                    "--out", str(out)])
         assert rc == 0
         payload = json.loads(out.read_text())
+        assert set(payload) == {"joints", "descriptors"}
         joints = np.asarray(payload["joints"])
         descs = np.asarray(payload["descriptors"])
         assert joints.shape == (7, 3)
@@ -327,5 +328,5 @@ class TestHelp:
             main(["--help"])
         assert exc.value.code == 0
         out = capsys.readouterr().out
-        for token in ("FMAP", "ETWT", "view_id"):
+        for token in ("FMAP", "view_id"):
             assert token in out

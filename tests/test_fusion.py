@@ -6,14 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epifuse.errors import ChannelMismatch, ConfigError, OddChannels, ShapeMismatch
+from epifuse.errors import ChannelMismatch, OddChannels, ShapeMismatch
 from epifuse.fusion import (
     _BLOCK,
     FusionParams,
     _ForwardState,
-    load_fusion_params,
     plan_epipolar_sampling,
-    save_fusion_params,
     similarity_weights,
     transformer_forward,
 )
@@ -449,31 +447,3 @@ class TestParamsValidation:
         with pytest.raises(ValueError):
             FusionParams(variant="residual", weight_mode="softmax", w_z=np.zeros((2, 2)))
 
-
-class TestParamsIO:
-    @pytest.mark.parametrize("variant,mode", [("identity", "softmax"), ("bottleneck", "max")])
-    def test_round_trip(self, tmp_path, variant, mode):
-        params = make_params(variant, mode, 6, seed=11)
-        path = tmp_path / "params.etwt"
-        save_fusion_params(params, path)
-        loaded = load_fusion_params(path)
-        assert loaded.variant == variant and loaded.weight_mode == mode
-        assert np.array_equal(loaded.w_z, params.w_z)
-        if variant == "bottleneck":
-            assert np.array_equal(loaded.theta, params.theta)
-            assert np.array_equal(loaded.phi, params.phi)
-            assert np.array_equal(loaded.g, params.g)
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.etwt"
-        path.write_bytes(b"WXYZ" + bytes(16))
-        with pytest.raises(ConfigError, match="magic"):
-            load_fusion_params(path)
-
-    def test_truncated(self, tmp_path):
-        params = make_params("identity", "softmax", 4, seed=12)
-        path = tmp_path / "params.etwt"
-        save_fusion_params(params, path)
-        path.write_bytes(path.read_bytes()[:-16])
-        with pytest.raises(ConfigError):
-            load_fusion_params(path)

@@ -3,64 +3,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epifuse.errors import ConfigError, LengthMismatch, MaskMismatch, ShapeMismatch
+from epifuse.errors import ConfigError, LengthMismatch, MaskMismatch
 from epifuse.metrics import (
-    Pose2D,
     Pose3D,
     argmax_peak,
     jdr,
     load_pose_csv,
     mpjpe,
-    mse_loss,
-    render_gaussian_heatmap,
     save_pose_csv,
-    select_best_view,
 )
 
 
-class TestRenderGaussianHeatmap:
-    def test_peak_is_one_at_integer_center(self):
-        h = render_gaussian_heatmap((7.0, 4.0), 2.0, 16, 16)
-        assert h.shape == (16, 16)
-        assert h[4, 7] == 1.0
-        assert h.max() == 1.0
-
-    def test_half_width(self):
-        # Oracle: the Gaussian halves at sigma * sqrt(2 ln 2) from center.
-        sigma = 2.0
-        h = render_gaussian_heatmap((16.0, 16.0), sigma, 33, 33)
-        r = sigma * np.sqrt(2.0 * np.log(2.0))
-        var = np.exp(-r * r / (2.0 * sigma * sigma))
-        assert abs(var - 0.5) < 1e-12
-        x = 16.0 + r
-        x0 = int(np.floor(x))
-        interp = h[16, x0] + (x - x0) * (h[16, x0 + 1] - h[16, x0])
-        assert abs(interp - 0.5) < 0.01
-
-    def test_mass_matches_integral(self):
-        # Oracle: a peak-1 Gaussian integrates to 2 pi sigma^2.
-        sigma = 2.0
-        h = render_gaussian_heatmap((24.0, 24.0), sigma, 49, 49)
-        assert abs(h.sum() - 2.0 * np.pi * sigma * sigma) < 0.01 * 2.0 * np.pi * sigma * sigma
-
-    def test_sigma_validation(self):
-        with pytest.raises(ValueError):
-            render_gaussian_heatmap((1.0, 1.0), 0.0, 8, 8)
-
-
-class TestMseLoss:
-    def test_identical_is_zero(self):
-        a = np.arange(12.0).reshape(3, 4)
-        assert mse_loss(a, a.copy()) == 0.0
-
-    def test_oracle(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[1.0, 0.0], [3.0, 1.0]])
-        assert abs(mse_loss(a, b) - (4.0 + 9.0) / 4.0) < 1e-15
-
-    def test_shape_check(self):
-        with pytest.raises(ShapeMismatch):
-            mse_loss(np.zeros((2, 2)), np.zeros((2, 3)))
+def gaussian(p, sigma, height, width):
+    """(height, width) Gaussian with peak value 1 at pixel location p = (x, y)."""
+    ys, xs = np.mgrid[0:height, 0:width].astype(np.float64)
+    return np.exp(-((xs - p[0]) ** 2 + (ys - p[1]) ** 2) / (2.0 * sigma * sigma))
 
 
 class TestArgmaxPeak:
@@ -72,13 +29,13 @@ class TestArgmaxPeak:
         assert conf == 3.0
 
     def test_subpixel_shift_toward_heavier_neighbor(self):
-        h = render_gaussian_heatmap((7.25, 5.0), 1.5, 16, 16)
+        h = gaussian((7.25, 5.0), 1.5, 16, 16)
         (x, y), _ = argmax_peak(h)
         assert x == 7.25 and y == 5.0
 
     def test_quarter_shift_against_raw_argmax(self):
         for true_x in (6.6, 6.9, 7.1, 7.4):
-            h = render_gaussian_heatmap((true_x, 8.0), 2.0, 17, 17)
+            h = gaussian((true_x, 8.0), 2.0, 17, 17)
             (x, _), _ = argmax_peak(h)
             assert abs(x - true_x) <= 0.25 + 1e-9
 
@@ -193,37 +150,6 @@ class TestJdr:
             jdr(np.zeros((2, 4)), np.zeros((2, 4)), 1.0)
         with pytest.raises(LengthMismatch, match="differ"):
             jdr(np.zeros((2, 2)), np.zeros((3, 2)), 1.0)
-
-
-class TestSelectBestView:
-    def pose2(self, confs):
-        pts = np.arange(2.0 * len(confs)).reshape(-1, 2)
-        return Pose2D(pts, np.asarray(confs, dtype=np.float64))
-
-    def test_picks_highest_confidence_per_joint(self):
-        a = self.pose2([0.9, 0.1])
-        b = self.pose2([0.2, 0.8])
-        best = select_best_view([a, b])
-        assert np.array_equal(best.points[0], a.points[0])
-        assert np.array_equal(best.points[1], b.points[1])
-        assert np.array_equal(best.confidences, [0.9, 0.8])
-
-    def test_tie_takes_lower_view(self):
-        a = self.pose2([0.5])
-        b = Pose2D(np.array([[99.0, 99.0]]), np.array([0.5]))
-        best = select_best_view([a, b])
-        assert np.array_equal(best.points[0], a.points[0])
-
-    def test_single_view_passthrough(self):
-        a = self.pose2([0.3, 0.6])
-        best = select_best_view([a])
-        assert np.array_equal(best.points, a.points)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            select_best_view([])
-        with pytest.raises(LengthMismatch):
-            select_best_view([self.pose2([0.5]), self.pose2([0.5, 0.5])])
 
 
 class TestPoseCSV:
