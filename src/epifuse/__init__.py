@@ -49,7 +49,6 @@ from .fusion import (
     FusionGradients,
     FusionParams,
     SamplingPlan,
-    WeightRecord,
     plan_epipolar_sampling,
     similarity_weights,
     transformer_backward,

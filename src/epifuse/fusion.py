@@ -17,13 +17,11 @@ The forward pass gathers and attends the valid pixels in fixed blocks of
 _BLOCK, so its memory is the sampling plan plus one block of samples, and
 its output bytes depend on neither the block nor the thread count: every
 pixel's arithmetic is the same whichever block it falls in. It can retain
-per-pixel weights (the pipeline reads matching accuracy and similarity
-profiles from them) and the intermediate state needed by
-transformer_backward, which returns exact analytic gradients for both
-feature maps and all fusion parameters. Sample locations depend only
-on camera geometry, so no gradient flows through them; in max mode the
-weights are piecewise constant and the backward pass differentiates the
-locally selected branch.
+the intermediate state needed by transformer_backward, which returns exact
+analytic gradients for both feature maps and all fusion parameters. Sample
+locations depend only on camera geometry, so no gradient flows through
+them; in max mode the weights are piecewise constant and the backward pass
+differentiates the locally selected branch.
 """
 
 from __future__ import annotations
@@ -190,15 +188,6 @@ class SamplingPlan:
 
 
 @dataclass(eq=False)
-class WeightRecord:
-    """Per-pixel sample locations and attention weights (profile support)."""
-
-    valid: np.ndarray  # (H, W) bool
-    locations: np.ndarray  # (H, W, K, 2), NaN where invalid
-    weights: np.ndarray  # (H, W, K), NaN where invalid
-
-
-@dataclass(eq=False)
 class _ForwardState:
     plan: SamplingPlan
     params: FusionParams
@@ -215,7 +204,6 @@ class _ForwardState:
 @dataclass(eq=False)
 class ForwardResult:
     fused: FeatureMap
-    weight_record: WeightRecord | None = None
     state: _ForwardState | None = None
 
 
@@ -244,13 +232,20 @@ def plan_epipolar_sampling(
     rescaled first, exactly as epipolar_samples does per query.
     """
     ref_h, ref_w = ref_hw
+    xs = np.tile(np.arange(ref_w, dtype=np.float64), ref_h)
+    ys = np.repeat(np.arange(ref_h, dtype=np.float64), ref_w)
+    planned = _plan_pixels(ref, src, ref_hw, src_hw, xs, ys, k)
+    return SamplingPlan(tuple(ref_hw), tuple(src_hw), k, *planned)
+
+
+def _plan_pixels(ref, src, ref_hw, src_hw, xs, ys, k):
+    """SamplingPlan's (valid, locations, corner, blend) for the pixels (xs, ys)."""
+    ref_h, ref_w = ref_hw
     src_h, src_w = src_hw
     ref = camera_at_resolution(ref, ref_w, ref_h)
     src = camera_at_resolution(src, src_w, src_h)
     f = fundamental_matrix(ref, src)
 
-    xs = np.tile(np.arange(ref_w, dtype=np.float64), ref_h)
-    ys = np.repeat(np.arange(ref_h, dtype=np.float64), ref_w)
     pixels = np.stack([xs, ys, np.ones_like(xs)], axis=1)
     lines, line_ok = normalize_lines(pixels @ f.T)
     clip_ok, ends = clip_lines(lines, src_w, src_h)
@@ -262,15 +257,7 @@ def plan_epipolar_sampling(
     locations = t[None, :, None] * d[:, None, :]
     locations += p0[:, None, :]
     corner, blend = bilinear_plan(src_h, src_w, locations.reshape(-1, 2))
-    return SamplingPlan(
-        ref_hw=(ref_h, ref_w),
-        src_hw=(src_h, src_w),
-        k=k,
-        valid=valid,
-        locations=locations,
-        corner=corner,
-        blend=blend,
-    )
+    return valid, locations, corner, blend
 
 
 def _batch_weights(logits: np.ndarray, mode: str) -> np.ndarray:
@@ -307,6 +294,33 @@ def _attend(
     return weights, queries + m @ params.w_z, {"u": u, "v": v, "h_emb": h_emb, "m": m}
 
 
+def _attend_at(f_ref, f_src, ref, src, params, k, pixels):
+    """Attention at the integer (x, y) reference pixels only.
+
+    Returns (valid, locations, samples, weights): valid flags each pixel,
+    and the others cover the valid ones in order with the bits of
+    transformer_forward's plan and state, if that plan has 2+ valid pixels.
+    """
+    xs, ys = np.asarray(pixels, dtype=np.intp).reshape(-1, 2).T
+    n = len(xs)
+    # A one-row matmul takes BLAS's matrix-vector path and rounds otherwise:
+    # plan a lone pixel, and attend a lone valid one, twice; keep row 0.
+    if n == 1:
+        xs, ys = np.repeat(xs, 2), np.repeat(ys, 2)
+    valid, locations, corner, blend = _plan_pixels(
+        ref, src, (f_ref.height, f_ref.width), (f_src.height, f_src.width),
+        xs.astype(np.float64), ys.astype(np.float64), k,
+    )
+    c = f_src.channels
+    src_flat = f_src.data.reshape(f_src.height * f_src.width, c)
+    samples = bilinear_gather(src_flat, f_src.width, corner, blend).reshape(-1, k, c)
+    queries = f_ref.data[ys[valid], xs[valid]]
+    rows = [0, 0] if len(queries) == 1 else slice(None)
+    weights = _attend(params, queries[rows], samples[rows])[0]
+    kept = np.count_nonzero(valid[:n])
+    return valid[:n], locations[:kept], samples[:kept], weights[:kept]
+
+
 def transformer_forward(
     f_ref: FeatureMap,
     f_src: FeatureMap,
@@ -316,7 +330,6 @@ def transformer_forward(
     k: int = 64,
     *,
     plan: SamplingPlan | None = None,
-    record_weights: bool = False,
     record_grad: bool = False,
 ) -> ForwardResult:
     """Fuse the reference map with epipolar-sampled source features.
@@ -326,7 +339,8 @@ def transformer_forward(
     are gathered and attended in fixed blocks of _BLOCK, so memory beyond
     the plan is one block of samples unless record_grad keeps them all.
     Pass a precomputed plan to amortize the geometry across repeated calls
-    with the same cameras, map shapes, and K.
+    with the same cameras, map shapes, and K. _attend_at gives the weights
+    of chosen pixels alone, with the same bits.
     """
     if f_ref.channels != f_src.channels:
         raise ChannelMismatch(
@@ -378,19 +392,8 @@ def transformer_forward(
     fused_flat[valid] = out
     fused = FeatureMap(fused_flat.reshape(h, w, c))
 
-    record = None
-    if record_weights:
-        loc_full = np.full((h * w, plan.k, 2), np.nan)
-        loc_full[valid] = plan.locations
-        w_full = np.full((h * w, plan.k), np.nan)
-        w_full[valid] = weights
-        record = WeightRecord(
-            valid=valid.reshape(h, w).copy(),
-            locations=loc_full.reshape(h, w, plan.k, 2),
-            weights=w_full.reshape(h, w, plan.k),
-        )
     state = _ForwardState(plan, params, queries, samples, weights, **saved) if record_grad else None
-    return ForwardResult(fused=fused, weight_record=record, state=state)
+    return ForwardResult(fused=fused, state=state)
 
 
 def transformer_backward(state: _ForwardState | None, grad_fused: np.ndarray) -> FusionGradients:

@@ -13,7 +13,7 @@ detections before per-joint RANSAC triangulation. The report carries MPJPE
 against the true joints, a joint detection rate, the attention matching
 accuracy (how often the argmax attention sample lands within one sample
 step of the true correspondence), and per-joint similarity profiles; both
-are read from the attention weights of the fusion pass itself.
+come from attention at each joint's query pixel, with the fusion pass's bits.
 """
 
 from __future__ import annotations
@@ -38,14 +38,14 @@ from .errors import (
 from .fusion import (
     FusionParams,
     ForwardResult,
-    _attend,
+    _attend_at,
     plan_epipolar_sampling,
     transformer_backward,
     transformer_forward,
 )
 from .geometry import PROJECTION_W, CameraView, camera_at_resolution
 from .metrics import Pose3D, argmax_peak, jdr, mpjpe
-from .sampler import FeatureMap, bilinear_many, epipolar_samples, sample_parameters
+from .sampler import FeatureMap, sample_parameters
 from .triangulation import Observation, ransac_triangulate
 
 
@@ -67,7 +67,6 @@ class Scene:
 
     joints: np.ndarray  # (J, 3)
     descriptors: np.ndarray  # (J, C), unit rows, pairwise dot < 0.5
-    seed: int | None = None
 
     @property
     def n_joints(self) -> int:
@@ -168,11 +167,7 @@ def make_scene(
         v = v / norm
         if all(float(np.dot(v, d)) < 0.5 for d in accepted):
             accepted.append(v)
-    return Scene(
-        joints=joints,
-        descriptors=np.asarray(accepted),
-        seed=seed if isinstance(seed, int) else None,
-    )
+    return Scene(joints=joints, descriptors=np.asarray(accepted))
 
 
 def render_descriptor_map(
@@ -437,35 +432,33 @@ def _query_pixel(p: np.ndarray, width: int, height: int) -> tuple[int, int]:
 
 
 def _fuse_and_match(r, s, maps, cams_m, proj, visible, params, k):
-    """Fuse view r with source s, reading matches from the pass's own weights.
+    """Fuse view r with source s, and match at the joints' query pixels.
 
     A joint seen in both views counts once; it is a hit when the largest
-    weight at its rounded reference pixel sits within one sample step of its
-    true source projection. Profiles are read for reference view 0 only.
-    Returns (fused map, hits, totals, profiles), per joint.
+    weight at its rounded reference pixel, from _attend_at, sits within one
+    sample step of its true source projection. Profiles are read for
+    reference view 0 only. Returns (fused map, hits, totals, profiles).
     """
-    result = transformer_forward(
-        maps[r], maps[s], cams_m[r], cams_m[s], params, k, record_weights=True
-    )
-    record = result.weight_record
+    fused = transformer_forward(maps[r], maps[s], cams_m[r], cams_m[s], params, k).fused
     n_joints = visible.shape[1]
     hits = np.zeros(n_joints, dtype=int)
-    totals = np.zeros(n_joints, dtype=int)
+    totals = (visible[r] & visible[s]).astype(int)
     profiles: list[dict | None] = [None] * n_joints
-    for j in np.flatnonzero(visible[r] & visible[s]):
-        totals[j] = 1
-        qx, qy = _query_pixel(proj[r, j], maps[r].width, maps[r].height)
-        if not record.valid[qy, qx]:
-            continue
-        locations, weights = record.locations[qy, qx], record.weights[qy, qx]
-        best = locations[int(np.argmax(weights))]
-        span = float(np.linalg.norm(locations[-1] - locations[0]))
+    joints = np.flatnonzero(totals)
+    pixels = [_query_pixel(proj[r, j], maps[r].width, maps[r].height) for j in joints]
+    valid, locations, samples, weights = _attend_at(
+        maps[r], maps[s], cams_m[r], cams_m[s], params, k, pixels
+    )
+    for i, n in enumerate(np.flatnonzero(valid)):
+        j, (qx, qy) = joints[n], pixels[n]
+        best = locations[i, int(np.argmax(weights[i]))]
+        span = float(np.linalg.norm(locations[i, -1] - locations[i, 0]))
         step = span / (k - 1) if k > 1 else span / 2.0
         hits[j] = float(np.linalg.norm(best - proj[s, j])) <= step + 1e-9
         if r == 0:
-            dots = bilinear_many(maps[s], locations) @ maps[r].data[qy, qx]
-            profiles[j] = _profile(r, s, locations, weights, dots)
-    return result.fused, hits, totals, profiles
+            dots = samples[i] @ maps[r].data[qy, qx]
+            profiles[j] = _profile(r, s, locations[i], weights[i], dots)
+    return fused, hits, totals, profiles
 
 
 def _profile(ref_view: int, src_view: int, locations, weights, dots) -> dict:
@@ -636,12 +629,13 @@ def similarity_profile(
     if not (0.0 <= p[0] <= cam_r.width - 1 and 0.0 <= p[1] <= cam_r.height - 1):
         return None
     qx, qy = _query_pixel(p, cam_r.width, cam_r.height)
-    samples = epipolar_samples(map_s, cam_r, cam_s, (float(qx), float(qy)), config.k)
-    if samples is None:
+    valid, locations, samples, weights = _attend_at(
+        map_r, map_s, cam_r, cam_s, params, config.k, [(qx, qy)]
+    )
+    if not valid[0]:
         return None
-    query = map_r.data[qy, qx]
-    weights = _attend(params, query[None, :], samples.features[None])[0][0]
-    profile = _profile(ref_view, src_view, samples.locations, weights, samples.features @ query)
+    dots = samples[0] @ map_r.data[qy, qx]
+    profile = _profile(ref_view, src_view, locations[0], weights[0], dots)
     profile["joint"] = joint
     return profile
 

@@ -10,6 +10,7 @@ from epifuse.errors import ChannelMismatch, OddChannels, ShapeMismatch
 from epifuse.fusion import (
     _BLOCK,
     FusionParams,
+    _attend_at,
     _ForwardState,
     plan_epipolar_sampling,
     similarity_weights,
@@ -234,29 +235,29 @@ class TestTransformerForward:
         f_ref = FeatureMap(rng.standard_normal((8, 8, 4)))
         f_src = FeatureMap(rng.standard_normal((8, 8, 4)))
         params = make_params("identity", "softmax", 4, seed=4)
-        out = transformer_forward(f_ref, f_src, ref, src, params, k=8, record_weights=True)
+        out = transformer_forward(f_ref, f_src, ref, src, params, k=8, record_grad=True)
         assert np.array_equal(out.fused.data, f_ref.data)
-        assert not out.weight_record.valid.any()
+        assert not out.state.plan.valid.any()
 
-    def test_weight_record_matches_direct_computation(self):
+    def test_recorded_weights_match_direct_computation(self):
         ref, src, f_ref, f_src = self.rect_setup(seed=5)
         params = make_params("identity", "softmax", 6, seed=6)
-        out = transformer_forward(f_ref, f_src, ref, src, params, k=8, record_weights=True)
-        rec = out.weight_record
-        assert rec.valid.any()
-        ys, xs = np.nonzero(rec.valid)
-        for y, x in list(zip(ys, xs))[:12]:
+        out = transformer_forward(f_ref, f_src, ref, src, params, k=8, record_grad=True)
+        plan = out.state.plan
+        assert plan.valid.any()
+        ys, xs = np.nonzero(plan.valid.reshape(8, 8))
+        for i, (y, x) in enumerate(list(zip(ys, xs))[:12]):
             sample_set = epipolar_samples(f_src, ref, src, (float(x), float(y)), k=8)
             assert sample_set is not None
-            assert np.allclose(rec.locations[y, x], sample_set.locations, atol=1e-9)
+            assert np.allclose(plan.locations[i], sample_set.locations, atol=1e-9)
             w = similarity_weights(f_ref.data[y, x], sample_set.features)
-            assert np.allclose(rec.weights[y, x], w, atol=1e-12)
+            assert np.allclose(out.state.weights[i], w, atol=1e-12)
 
     def test_fused_pixel_matches_single_pixel_path(self):
         ref, src, f_ref, f_src = self.rect_setup(seed=7)
         params = make_params("bottleneck", "softmax", 6, seed=8)
-        out = transformer_forward(f_ref, f_src, ref, src, params, k=8, record_weights=True)
-        ys, xs = np.nonzero(out.weight_record.valid)
+        out = transformer_forward(f_ref, f_src, ref, src, params, k=8, record_grad=True)
+        ys, xs = np.nonzero(out.state.plan.valid.reshape(8, 8))
         y, x = int(ys[0]), int(xs[0])
         sample_set = epipolar_samples(f_src, ref, src, (float(x), float(y)), k=8)
         want = fuse_bottleneck(f_ref.data[y, x], sample_set.features, params)
@@ -265,8 +266,8 @@ class TestTransformerForward:
     def test_identity_fused_pixel_matches_single_pixel_path(self):
         ref, src, f_ref, f_src = self.rect_setup(seed=11)
         params = make_params("identity", "softmax", 6, seed=12)
-        out = transformer_forward(f_ref, f_src, ref, src, params, k=8, record_weights=True)
-        ys, xs = np.nonzero(out.weight_record.valid)
+        out = transformer_forward(f_ref, f_src, ref, src, params, k=8, record_grad=True)
+        ys, xs = np.nonzero(out.state.plan.valid.reshape(8, 8))
         y, x = int(ys[0]), int(xs[0])
         sample_set = epipolar_samples(f_src, ref, src, (float(x), float(y)), k=8)
         agg = aggregate(attention_weights(f_ref.data[y, x], sample_set.features, params),
@@ -322,23 +323,27 @@ def same_bits(a, b):
 
 
 VALID_COUNTS = [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 37]
+PAIR_K = 7
+PAIR_C = 6
+
+
+@pytest.fixture(scope="module")
+def pair():
+    """general_pair(32) with random maps and its plan; some pixels are skipped."""
+    ref, src = general_pair(32)
+    rng = np.random.default_rng(20)
+    f_ref = FeatureMap(rng.standard_normal((32, 32, PAIR_C)))
+    f_src = FeatureMap(rng.standard_normal((32, 32, PAIR_C)))
+    plan = plan_epipolar_sampling(ref, src, (32, 32), (32, 32), PAIR_K)
+    assert VALID_COUNTS[-1] <= np.count_nonzero(plan.valid) < plan.valid.size
+    return ref, src, f_ref, f_src, plan
 
 
 class TestBlockedForward:
     """The blocked forward pass equals the unblocked oracle bit for bit."""
 
-    K = 7
-    C = 6
-
-    @pytest.fixture(scope="class")
-    def pair(self):
-        ref, src = general_pair(32)
-        rng = np.random.default_rng(20)
-        f_ref = FeatureMap(rng.standard_normal((32, 32, self.C)))
-        f_src = FeatureMap(rng.standard_normal((32, 32, self.C)))
-        plan = plan_epipolar_sampling(ref, src, (32, 32), (32, 32), self.K)
-        assert np.count_nonzero(plan.valid) >= VALID_COUNTS[-1]
-        return ref, src, f_ref, f_src, plan
+    K = PAIR_K
+    C = PAIR_C
 
     @pytest.mark.parametrize("n_valid", VALID_COUNTS)
     @pytest.mark.parametrize("variant", ["identity", "bottleneck"])
@@ -349,16 +354,10 @@ class TestBlockedForward:
         params = dataclasses.replace(make_params(variant, mode, self.C, seed=21), temperature=1.7)
         out = transformer_forward(
             f_ref, f_src, ref, src, params, self.K,
-            plan=plan, record_weights=True, record_grad=True,
+            plan=plan, record_grad=True,
         )
         want_fused, want_state = unblocked_forward(f_ref, f_src, params, plan)
         assert same_bits(out.fused.data, want_fused)
-
-        rec = out.weight_record
-        assert np.array_equal(rec.valid.ravel(), plan.valid)
-        assert same_bits(rec.weights[rec.valid], want_state["weights"])
-        assert same_bits(rec.locations[rec.valid], plan.locations)
-        assert np.isnan(rec.weights[~rec.valid]).all()
 
         for field in dataclasses.fields(_ForwardState):
             if field.name in ("plan", "params"):
@@ -408,6 +407,44 @@ class TestBlockedForward:
         finally:
             tracemalloc.stop()
         assert peak < 10.5 * plan.corner.size * 8
+
+
+# (x, y) pixel lists of the pair fixture. (6, 1) and (10, 0) are valid and
+# (0, 0) is skipped. Alone, (6, 1) gets other locations from a one-row plan,
+# and next to a skipped pixel, (10, 0) gets other bottleneck softmax weights
+# from a one-row attention.
+PIXEL_LISTS = {
+    "none": [],
+    "lone": [(6, 1)],
+    "lone-skipped": [(0, 0)],
+    "two": [(6, 1), (10, 0)],
+    "repeated": [(6, 1), (20, 17), (6, 1), (6, 1), (3, 25)],
+    "valid-and-skipped": [(10, 0), (0, 0)],
+    "skipped-mixed-in": [(20, 17), (0, 0), (6, 1), (3, 25)],
+}
+
+
+class TestAttendAt:
+    """Attention at a list of pixels equals the dense pass at them bit for bit."""
+
+    @pytest.mark.parametrize("pixels", PIXEL_LISTS.values(), ids=PIXEL_LISTS.keys())
+    @pytest.mark.parametrize("variant", ["identity", "bottleneck"])
+    @pytest.mark.parametrize("mode", ["softmax", "max"])
+    def test_matches_dense_pass(self, pair, pixels, variant, mode):
+        ref, src, f_ref, f_src, plan = pair
+        params = dataclasses.replace(make_params(variant, mode, PAIR_C, seed=21), temperature=1.7)
+        state = transformer_forward(
+            f_ref, f_src, ref, src, params, PAIR_K, plan=plan, record_grad=True
+        ).state
+        valid, locations, samples, weights = _attend_at(
+            f_ref, f_src, ref, src, params, PAIR_K, pixels
+        )
+        flat = np.array([y * 32 + x for x, y in pixels], dtype=np.intp)
+        assert same_bits(valid, plan.valid[flat])
+        rows = (np.cumsum(plan.valid) - 1)[flat[valid]]
+        assert same_bits(locations, plan.locations[rows])
+        assert same_bits(samples, state.samples[rows])
+        assert same_bits(weights, state.weights[rows])
 
 
 class TestParamsValidation:

@@ -64,13 +64,11 @@ class TestBackwardClosedForms:
         f_ref = FeatureMap(rng.standard_normal((6, 6, 4)))
         f_src = FeatureMap(rng.standard_normal((6, 6, 4)))
         params = FusionParams.initialize("identity", "softmax", 4)
-        out = transformer_forward(
-            f_ref, f_src, ref, src, params, k=4, record_weights=True, record_grad=True
-        )
+        out = transformer_forward(f_ref, f_src, ref, src, params, k=4, record_grad=True)
         grad = rng.standard_normal((6, 6, 4))
         grads = transformer_backward(out.state, grad)
         want = np.zeros((4, 4))
-        ys, xs = np.nonzero(out.weight_record.valid)
+        ys, xs = np.nonzero(out.state.plan.valid.reshape(6, 6))
         for y, x in zip(ys, xs):
             sample_set = epipolar_samples(f_src, ref, src, (float(x), float(y)), k=4)
             w = similarity_weights(f_ref.data[y, x], sample_set.features)
