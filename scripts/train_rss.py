@@ -1,0 +1,49 @@
+"""Peak resident memory of the benchmark's train workload after each cycle.
+
+perfbench's train run reports one peak RSS for however many whole cycles fit
+in its time budget, so a faster checkout can read higher memory only because
+it ran more cycles. This runs a fixed number of cycles, with the workload's
+own checks, and prints the peak after each, so two checkouts can be compared
+at equal work:
+
+    python3 scripts/train_rss.py --root . --cycles 2
+
+Run it once per checkout, in a fresh process each time; BLAS is pinned to
+one thread as in perfbench's worker.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import sys
+from pathlib import Path
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import resource  # noqa: E402
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--root", type=Path, default=Path("."))
+    parser.add_argument("--cycles", type=int, default=2)
+    parser.add_argument("--seed", type=int, default=11)
+    args = parser.parse_args()
+    root = args.root.resolve()
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+    import workloads
+
+    train = workloads.Train(root, args.seed)
+    for cycle in range(args.cycles):
+        outputs = [op() for op in train.cycle()]
+        for i, out in enumerate(outputs):
+            train.check(i, out)
+        del outputs
+        peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+        print(f"cycle {cycle + 1}: peak_rss_mb {peak_mb:.1f}")
+
+
+if __name__ == "__main__":
+    main()

@@ -131,13 +131,9 @@ class FusionParams:
         stage into an existing pipeline changes nothing until w_z moves.
         Embeddings draw from uniform(-1/sqrt(C), 1/sqrt(C)).
         """
-        if variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}")
         if variant == "identity":
             return cls(variant, weight_mode, np.zeros((channels, channels)),
                        temperature=temperature)
-        if channels % 2 != 0:
-            raise OddChannels("bottleneck fusion needs an even channel count")
         rng = np.random.default_rng(seed)
         bound = 1.0 / np.sqrt(channels)
         half = channels // 2
@@ -285,11 +281,13 @@ def _attend(
         weights = _batch_weights(logits, params.weight_mode)
         agg = np.einsum("nk,nkc->nc", weights, samples)
         return weights, queries + agg @ params.w_z.T, {"agg": agg}
+    # Embeddings are 2-D GEMMs over all sample rows; explicit sizes, as n may be 0.
+    n, k, c = samples.shape
     u = queries @ params.theta
-    v = np.einsum("nkc,cd->nkd", samples, params.phi)
+    v = (samples.reshape(n * k, c) @ params.phi).reshape(n, k, c // 2)
     logits = tau * np.einsum("nd,nkd->nk", u, v)
     weights = _batch_weights(logits, params.weight_mode)
-    h_emb = np.einsum("nkc,cd->nkd", samples, params.g)
+    h_emb = (samples.reshape(n * k, c) @ params.g).reshape(n, k, c // 2)
     m = np.einsum("nk,nkd->nd", weights, h_emb)
     return weights, queries + m @ params.w_z, {"u": u, "v": v, "h_emb": h_emb, "m": m}
 
@@ -424,36 +422,39 @@ def transformer_backward(state: _ForwardState | None, grad_fused: np.ndarray) ->
     tau = params.temperature
     softmax = params.weight_mode == "softmax"
 
+    # Source gradients ds are channel-major, (C, n*K) in C order, for bilinear_scatter.
+    n, k = weights.shape
     theta_g = phi_g = g_g = None
     if params.variant == "identity":
         da = gv @ params.w_z  # dL/d agg
         wz_g = np.einsum("nc,nj->cj", gv, state.agg)
         dw = np.einsum("nkc,nc->nk", samples, da)
-        ds = weights[:, :, None] * da[:, None, :]
+        ds = np.multiply(da.T[:, :, None], weights, out=np.empty((c, n, k)))
         if softmax:
             dz = weights * (dw - np.sum(weights * dw, axis=1, keepdims=True))
             d_ref[plan.valid] += tau * np.einsum("nk,nkc->nc", dz, samples)
-            ds += tau * dz[:, :, None] * queries[:, None, :]
+            ds += np.multiply(queries.T[:, :, None], tau * dz, out=np.empty((c, n, k)))
     else:
+        flat = samples.reshape(n * k, c)
         dm = gv @ params.w_z.T
         wz_g = np.einsum("nd,nc->dc", state.m, gv)
-        dh = weights[:, :, None] * dm[:, None, :]
+        dh = (weights[:, :, None] * dm[:, None, :]).reshape(n * k, c // 2)
         dw = np.einsum("nkd,nd->nk", state.h_emb, dm)
-        ds = np.einsum("nkd,cd->nkc", dh, params.g)
-        g_g = np.einsum("nkc,nkd->cd", samples, dh)
+        ds = params.g @ dh.T
+        g_g = flat.T @ dh
         theta_g = np.zeros_like(params.theta)
         phi_g = np.zeros_like(params.phi)
         if softmax:
             dz = weights * (dw - np.sum(weights * dw, axis=1, keepdims=True))
             du = tau * np.einsum("nk,nkd->nd", dz, state.v)
-            dv = tau * dz[:, :, None] * state.u[:, None, :]
+            dv = (tau * dz[:, :, None] * state.u[:, None, :]).reshape(n * k, c // 2)
             d_ref[plan.valid] += du @ params.theta.T
             theta_g += np.einsum("nc,nd->cd", queries, du)
-            ds += np.einsum("nkd,cd->nkc", dv, params.phi)
-            phi_g += np.einsum("nkc,nkd->cd", samples, dv)
+            ds += params.phi @ dv.T
+            phi_g += flat.T @ dv
 
     d_src_flat = bilinear_scatter(
-        ds.reshape(-1, c), src_h * src_w, src_w, plan.corner, plan.blend
+        ds.reshape(c, n * k), src_h * src_w, src_w, plan.corner, plan.blend
     )
 
     return FusionGradients(

@@ -315,11 +315,16 @@ def camera_at_resolution(cam: CameraView, width: int, height: int) -> CameraView
     """The camera of a width x height map of cam's image.
 
     Returns cam itself when the sizes already match; otherwise rescales it
-    by the ratio of the sizes.
+    by the ratio of the sizes. The last rescaled camera is cached on cam by
+    (width, height), so repeated calls share it and its own caches.
     """
     if (cam.width, cam.height) == (width, height):
         return cam
-    return rescale_camera(cam, cam.width / width, cam.height / height)
+    cached = getattr(cam, "_rescaled", None)
+    if cached is None or cached[0] != (width, height):
+        cached = ((width, height), rescale_camera(cam, cam.width / width, cam.height / height))
+        object.__setattr__(cam, "_rescaled", cached)
+    return cached[1]
 
 
 def project(cam: CameraView, x: np.ndarray) -> np.ndarray:

@@ -263,16 +263,18 @@ def bilinear_gather(
 def bilinear_scatter(
     grad: np.ndarray, size: int, width: int, corner: np.ndarray, blend: np.ndarray
 ) -> np.ndarray:
-    """Adjoint of bilinear_gather: (size, C) sums of (N, C) read gradients.
+    """Adjoint of bilinear_gather: (size, C) sums of channel-major (C, N) read gradients.
 
-    Each channel is one segment sum over the corners in plan order (all
-    top-left corners first, then right, lower, lower-right), so every map
-    pixel adds its contributions in a fixed order.
+    Each channel, one contiguous row of grad, is one segment sum over the
+    corners in plan order (all top-left corners first, then right, lower,
+    lower-right), so every map pixel adds its contributions in a fixed order.
     """
     index = _corner_index(corner, width).ravel()
-    out = np.empty((size, grad.shape[1]))
-    for ch in range(grad.shape[1]):
-        out[:, ch] = np.bincount(index, (blend * grad[:, ch]).ravel(), minlength=size)
+    weighted = np.empty_like(blend)
+    out = np.empty((size, len(grad)))
+    for ch, row in enumerate(grad):
+        np.multiply(blend, row, out=weighted)
+        out[:, ch] = np.bincount(index, weighted.ravel(), minlength=size)
     return out
 
 

@@ -36,6 +36,8 @@ from .errors import (
     ShapeMismatch,
 )
 from .fusion import (
+    VARIANTS,
+    WEIGHT_MODES,
     FusionParams,
     ForwardResult,
     _attend_at,
@@ -500,6 +502,21 @@ class ScenarioConfig:
     ransac_iterations: int = 100
     head_size_px: float = 10.0
     target_angle_deg: float = 24.0
+
+    def __post_init__(self) -> None:
+        # Range checks, so a bad config fails as a config error before any compute.
+        for key, ok, need in (
+            ("K", self.k >= 1, "at least 1"), ("sigma_px", self.sigma_px > 0, "positive"),
+            ("ransac_iterations", self.ransac_iterations >= 1, "at least 1"),
+            ("ransac_threshold_px", self.ransac_threshold_px > 0, "positive"),
+            ("map_wh", self.map_wh is None or self.map_wh >= 2, "at least 2"),
+            ("variant", self.variant in VARIANTS, f"one of {VARIANTS}"),
+            ("weight_mode", self.weight_mode in WEIGHT_MODES, f"one of {WEIGHT_MODES}"),
+            ("channels", self.variant != "bottleneck" or self.channels % 2 == 0,
+             "even for the bottleneck variant"),
+        ):
+            if not ok:
+                raise ConfigError(f"config key '{key}' must be {need}")
 
 
 _INT_KEYS = {"cameras", "joints", "channels", "k", "seed", "image_wh", "map_wh",

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from epifuse.fusion import _attend
+from epifuse.fusion import _attend, _batch_weights
 from epifuse.geometry import CameraView, project
 
 
@@ -139,13 +139,13 @@ def gather_all_samples(plan, src_data) -> np.ndarray:
     return s.reshape(-1, plan.k, c)
 
 
-def unblocked_forward(f_ref, f_src, params, plan) -> tuple[np.ndarray, dict]:
+def unblocked_forward(f_ref, f_src, params, plan, attend=_attend) -> tuple[np.ndarray, dict]:
     """Fused (H, W, C) map and the _ForwardState arrays, keyed by field name."""
     h, w = plan.ref_hw
     c = f_ref.channels
     queries = f_ref.data.reshape(h * w, c)[plan.valid]
     samples = gather_all_samples(plan, f_src.data)
-    weights, out, saved = _attend(params, queries, samples)
+    weights, out, saved = attend(params, queries, samples)
     fused = f_ref.data.reshape(h * w, c).copy()
     fused[plan.valid] = out
     state = {"query": queries, "samples": samples, "weights": weights, **saved}
@@ -153,7 +153,8 @@ def unblocked_forward(f_ref, f_src, params, plan) -> tuple[np.ndarray, dict]:
 
 
 def add_at_scatter(grad, size, width, corner, blend) -> np.ndarray:
-    """(size, C) sums of (N, C) read gradients into their four bilinear corners."""
+    """(size, C) sums of (C, N) read gradients into their four bilinear corners."""
+    grad = np.asarray(grad).T
     out = np.zeros((size, grad.shape[1]))
     w00, w10, w01, w11 = blend
     np.add.at(out, corner, w00[:, None] * grad)
@@ -161,3 +162,71 @@ def add_at_scatter(grad, size, width, corner, blend) -> np.ndarray:
     np.add.at(out, corner + width, w01[:, None] * grad)
     np.add.at(out, corner + width + 1, w11[:, None] * grad)
     return out
+
+
+# -- einsum oracles ---------------------------------------------------------------
+#
+# Attention and its backward pass with every contraction written as np.einsum
+# over (n, K, C) tensors, and source gradients in sample-major order. The
+# identity variant must match the library bit for bit; the bottleneck variant's
+# embeddings and weight gradients run on BLAS there, which rounds differently.
+
+
+def einsum_attend(params, queries, samples) -> tuple[np.ndarray, np.ndarray, dict]:
+    """(weights, fused rows, saved intermediates), like fusion._attend."""
+    tau = params.temperature
+    if params.variant == "identity":
+        weights = _batch_weights(tau * np.einsum("nc,nkc->nk", queries, samples),
+                                 params.weight_mode)
+        agg = np.einsum("nk,nkc->nc", weights, samples)
+        return weights, queries + agg @ params.w_z.T, {"agg": agg}
+    u = queries @ params.theta
+    v = np.einsum("nkc,cd->nkd", samples, params.phi)
+    weights = _batch_weights(tau * np.einsum("nd,nkd->nk", u, v), params.weight_mode)
+    h_emb = np.einsum("nkc,cd->nkd", samples, params.g)
+    m = np.einsum("nk,nkd->nd", weights, h_emb)
+    return weights, queries + m @ params.w_z, {"u": u, "v": v, "h_emb": h_emb, "m": m}
+
+
+def einsum_backward(plan, params, state, grad_fused) -> dict:
+    """Gradients keyed by FusionGradients field, from an unblocked_forward state."""
+    h, w = plan.ref_hw
+    src_h, src_w = plan.src_hw
+    c = params.channels
+    g_flat = grad_fused.reshape(h * w, c)
+    d_ref = g_flat.copy()
+    gv = g_flat[plan.valid]
+    queries, samples, weights = state["query"], state["samples"], state["weights"]
+    tau = params.temperature
+    softmax = params.weight_mode == "softmax"
+    grads = {}
+    if params.variant == "identity":
+        da = gv @ params.w_z
+        grads["w_z"] = np.einsum("nc,nj->cj", gv, state["agg"])
+        dw = np.einsum("nkc,nc->nk", samples, da)
+        ds = weights[:, :, None] * da[:, None, :]
+        if softmax:
+            dz = weights * (dw - np.sum(weights * dw, axis=1, keepdims=True))
+            d_ref[plan.valid] += tau * np.einsum("nk,nkc->nc", dz, samples)
+            ds += tau * dz[:, :, None] * queries[:, None, :]
+    else:
+        dm = gv @ params.w_z.T
+        grads["w_z"] = np.einsum("nd,nc->dc", state["m"], gv)
+        dh = weights[:, :, None] * dm[:, None, :]
+        dw = np.einsum("nkd,nd->nk", state["h_emb"], dm)
+        ds = np.einsum("nkd,cd->nkc", dh, params.g)
+        grads["g"] = np.einsum("nkc,nkd->cd", samples, dh)
+        grads["theta"] = np.zeros_like(params.theta)
+        grads["phi"] = np.zeros_like(params.phi)
+        if softmax:
+            dz = weights * (dw - np.sum(weights * dw, axis=1, keepdims=True))
+            du = tau * np.einsum("nk,nkd->nd", dz, state["v"])
+            dv = tau * dz[:, :, None] * state["u"][:, None, :]
+            d_ref[plan.valid] += du @ params.theta.T
+            grads["theta"] += np.einsum("nc,nd->cd", queries, du)
+            ds += np.einsum("nkd,cd->nkc", dv, params.phi)
+            grads["phi"] += np.einsum("nkc,nkd->cd", samples, dv)
+    d_src = add_at_scatter(ds.reshape(-1, c).T, src_h * src_w, src_w, plan.corner, plan.blend)
+    grads["f_ref"] = d_ref.reshape(h, w, c)
+    grads["f_src"] = d_src.reshape(src_h, src_w, c)
+    return grads

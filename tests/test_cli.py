@@ -97,6 +97,28 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
         assert "angle" in capsys.readouterr().err.lower()
 
+    @pytest.mark.parametrize("key, bad", [
+        ("K", {"K": 0}), ("ransac_iterations", {"ransac_iterations": 0}),
+        ("ransac_threshold_px", {"ransac_threshold_px": 0}), ("sigma_px", {"sigma_px": -1}),
+        ("map_wh", {"map_wh": 1}), ("variant", {"variant": "nope"}),
+        ("weight_mode", {"weight_mode": "median"}),
+        ("channels", {"variant": "bottleneck", "channels": 7}),
+    ])
+    def test_out_of_range_exits_2_before_any_file(self, tmp_path, capsys, key, bad):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({**SMALL_DICT, **bad}))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert main(["profile", "--config", str(cfg), "--ref-view", "0", "--src-view", "1",
+                     "--joint", "0", "--out", str(out / "p.csv")]) == 2
+        assert not out.exists()
+        assert f"'{key}'" in capsys.readouterr().err
+
+    def test_out_of_range_override_exits_2(self, tmp_path, small_config):
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(small_config), "--out", str(out), "--k", "0"]) == 2
+        assert not out.exists()
+
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "o")]) == 2

@@ -1,5 +1,9 @@
 import dataclasses
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ from epifuse.fusion import (
     _ForwardState,
     plan_epipolar_sampling,
     similarity_weights,
+    transformer_backward,
     transformer_forward,
 )
 from epifuse.geometry import CameraView
@@ -22,6 +27,8 @@ from helpers import (
     add_at_scatter,
     aggregate,
     attention_weights,
+    einsum_attend,
+    einsum_backward,
     fuse_bottleneck,
     fuse_identity,
     look_at_camera,
@@ -339,6 +346,18 @@ def pair():
     return ref, src, f_ref, f_src, plan
 
 
+@pytest.fixture(scope="module")
+def big_pair():
+    """general_pair(160) with random C=16 maps and its K=64 plan."""
+    ref, src = general_pair(160)
+    rng = np.random.default_rng(22)
+    f_ref = FeatureMap(rng.standard_normal((160, 160, 16)))
+    f_src = FeatureMap(rng.standard_normal((160, 160, 16)))
+    plan = plan_epipolar_sampling(ref, src, (160, 160), (160, 160), 64)
+    assert np.count_nonzero(plan.valid) > 0.9 * 160 * 160
+    return ref, src, f_ref, f_src, plan
+
+
 class TestBlockedForward:
     """The blocked forward pass equals the unblocked oracle bit for bit."""
 
@@ -372,21 +391,16 @@ class TestBlockedForward:
     def test_scatter_matches_add_at_oracle(self, pair, n_valid):
         *_, full_plan = pair
         plan = first_valid(full_plan, n_valid)
-        grad = np.random.default_rng(n_valid).standard_normal((plan.corner.size, self.C))
+        grad = np.random.default_rng(n_valid).standard_normal((self.C, plan.corner.size))
         got = bilinear_scatter(grad, 32 * 32, 32, plan.corner, plan.blend)
         assert same_bits(got, add_at_scatter(grad, 32 * 32, 32, plan.corner, plan.blend))
 
-    def test_forward_memory_is_plan_plus_one_block(self):
+    def test_forward_memory_is_plan_plus_one_block(self, big_pair):
         # 160x160, K=64, C=16: all samples at once would take 200 MB. The
         # weights (13 MB), queries and outputs (3 MB each) and one block
         # must fit well inside 64 MB.
-        ref, src = general_pair(160)
-        rng = np.random.default_rng(22)
-        f_ref = FeatureMap(rng.standard_normal((160, 160, 16)))
-        f_src = FeatureMap(rng.standard_normal((160, 160, 16)))
+        ref, src, f_ref, f_src, plan = big_pair
         params = make_params("identity", "softmax", 16, seed=23)
-        plan = plan_epipolar_sampling(ref, src, (160, 160), (160, 160), 64)
-        assert np.count_nonzero(plan.valid) > 0.9 * 160 * 160
         tracemalloc.start()
         try:
             transformer_forward(f_ref, f_src, ref, src, params, 64, plan=plan)
@@ -394,6 +408,24 @@ class TestBlockedForward:
         finally:
             tracemalloc.stop()
         assert peak < 64e6
+
+    @pytest.mark.parametrize("variant, bound", [("identity", 470e6), ("bottleneck", 665e6)])
+    def test_backward_memory(self, big_pair, variant, bound):
+        # The (C, n, K) source gradient ds is 202 MB here. The bounds sit just
+        # above the backward's peaks at this size (453 and 642 MB), so one more
+        # copy of ds, a transposed or a non-C-ordered one, does not fit.
+        ref, src, f_ref, f_src, plan = big_pair
+        params = make_params(variant, "softmax", 16, seed=23)
+        state = transformer_forward(f_ref, f_src, ref, src, params, 64,
+                                    plan=plan, record_grad=True).state
+        upstream = np.random.default_rng(24).standard_normal((160, 160, 16))
+        tracemalloc.start()
+        try:
+            transformer_backward(state, upstream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
     def test_plan_setup_memory(self):
         # The plan keeps 7 values per read (2 location, 1 corner, 4 blend).
@@ -407,6 +439,86 @@ class TestBlockedForward:
         finally:
             tracemalloc.stop()
         assert peak < 10.5 * plan.corner.size * 8
+
+
+ORACLE_KS = [1, PAIR_K, 64]
+
+
+@pytest.fixture(scope="module")
+def plans(pair):
+    """Plans of the pair fixture at every K of ORACLE_KS."""
+    ref, src, *_ = pair
+    return {k: plan_epipolar_sampling(ref, src, (32, 32), (32, 32), k) for k in ORACLE_KS}
+
+
+def rel_close(got, want, rel=1e-12):
+    """Equal shapes, and every entry within rel of the largest magnitude in want."""
+    got, want = np.asarray(got), np.asarray(want)
+    scale = float(np.max(np.abs(want), initial=0.0))
+    return got.shape == want.shape and bool(np.all(np.abs(got - want) <= rel * scale))
+
+
+class TestEinsumOracle:
+    """Forward and backward against the einsum oracles: the identity variant
+    bit for bit, the bottleneck's BLAS GEMMs within 1e-12 relative."""
+
+    @pytest.mark.parametrize("k", ORACLE_KS)
+    @pytest.mark.parametrize("n_valid", VALID_COUNTS)
+    @pytest.mark.parametrize("variant", ["identity", "bottleneck"])
+    @pytest.mark.parametrize("mode", ["softmax", "max"])
+    def test_forward_and_backward(self, pair, plans, k, n_valid, variant, mode):
+        ref, src, f_ref, f_src, _ = pair
+        plan = first_valid(plans[k], n_valid)
+        params = dataclasses.replace(make_params(variant, mode, PAIR_C, seed=24), temperature=1.7)
+        out = transformer_forward(f_ref, f_src, ref, src, params, k, plan=plan, record_grad=True)
+        upstream = np.random.default_rng(25).standard_normal((32, 32, PAIR_C))
+        grads = transformer_backward(out.state, upstream)
+
+        want_fused, want_state = unblocked_forward(f_ref, f_src, params, plan, einsum_attend)
+        want_grads = einsum_backward(plan, params, want_state, upstream)
+        same = same_bits if variant == "identity" else rel_close
+        assert same(out.fused.data, want_fused)
+        for name, value in want_state.items():
+            assert same(getattr(out.state, name), value), name
+        for name, value in want_grads.items():
+            assert same(getattr(grads, name), value), name
+
+
+# Forward and backward of a 64x64, K=64, C=16 bottleneck pair, large enough
+# for OpenBLAS to split its GEMMs across threads; prints a digest of every output.
+THREAD_PROBE = """
+import hashlib
+import numpy as np
+from epifuse.fusion import FusionParams, transformer_backward, transformer_forward
+from epifuse.sampler import FeatureMap
+from helpers import look_at_camera
+
+ref = look_at_camera((1000.0, 0.0, 300.0), 102.4, 64, 64)
+src = look_at_camera((800.0, 500.0, 350.0), 102.4, 64, 64)
+rng = np.random.default_rng(26)
+f_ref, f_src = (FeatureMap(rng.standard_normal((64, 64, 16))) for _ in range(2))
+init = FusionParams.initialize("bottleneck", "softmax", 16, seed=27)
+params = FusionParams("bottleneck", "softmax", rng.standard_normal((8, 16)),
+                      theta=init.theta, phi=init.phi, g=init.g)
+out = transformer_forward(f_ref, f_src, ref, src, params, 64, record_grad=True)
+grads = transformer_backward(out.state, rng.standard_normal((64, 64, 16)))
+digest = hashlib.blake2b(out.fused.data.tobytes())
+for name in ("f_ref", "f_src", "w_z", "theta", "phi", "g"):
+    digest.update(getattr(grads, name).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_bottleneck_bits_do_not_depend_on_blas_threads():
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(here.parent / "src"), str(here)])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", THREAD_PROBE], env=env,
+                              capture_output=True, text=True, check=True)
+        digests.append(proc.stdout)
+    assert digests[0] == digests[1] and len(digests[0]) > 100
 
 
 # (x, y) pixel lists of the pair fixture. (6, 1) and (10, 0) are valid and

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from epifuse.errors import ConfigError, DegenerateLine
 from epifuse.fusion import plan_epipolar_sampling
 from epifuse.geometry import (
+    CameraView,
     EpipolarLine,
+    camera_at_resolution,
     epipolar_line,
     fundamental_matrix,
     normalize_line,
@@ -345,6 +347,33 @@ class TestEpipolarSamples:
         for x, y in out.locations:
             assert abs(line.distance(x, y)) < 1e-9
             assert 0.0 <= x <= 31.0 and 0.0 <= y <= 31.0
+
+    def test_rescaled_camera_is_cached(self):
+        rng = np.random.default_rng(10)
+        _, src = random_camera_pair(rng, width=64, height=64)
+        half = camera_at_resolution(src, 32, 32)
+        assert camera_at_resolution(src, 32, 32) is half
+        quarter = camera_at_resolution(src, 16, 16)
+        assert quarter is not half and camera_at_resolution(src, 16, 16) is quarter
+        assert camera_at_resolution(src, 64, 64) is src
+
+    def test_cached_rescale_keeps_sample_bits(self):
+        # Queries on a half-resolution map reuse one rescaled source camera;
+        # each must equal the same query through freshly built cameras.
+        rng = np.random.default_rng(11)
+        ref, src = random_camera_pair(rng, width=64, height=64)
+        fmap = FeatureMap(rng.standard_normal((32, 32, 3)))
+        compared = 0
+        for p in rng.uniform(0.0, 63.0, (40, 2)):
+            got = epipolar_samples(fmap, ref, src, p, k=16)
+            fresh_ref, fresh_src = CameraView(ref.M, 64, 64), CameraView(src.M, 64, 64)
+            want = epipolar_samples(fmap, fresh_ref, fresh_src, p, k=16)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got.locations.tobytes() == want.locations.tobytes()
+                assert got.features.tobytes() == want.features.tobytes()
+                compared += 1
+        assert compared >= 10
 
 
 class TestFeatureMapIO:
