@@ -55,7 +55,7 @@ file formats:
   report JSON     {mpjpe_mm, analytic_mpjpe_mm, jdr_pct, matching_accuracy,
                    per_joint: [...], config: {...}}
   profile CSV     header t,x,y,weight,dot; one row per sample
-  observations    CSV header view_id,joint_id,x,y,confidence
+  observations    CSV header view_id,joint_id,x,y,confidence; confidence in [0, 1]
   pose CSV        header joint_id,x,y[,z],confidence
   feature map     binary, magic FMAP + u32 H,W,C + float32 row-major values
 """
@@ -142,11 +142,11 @@ def cmd_profile(args: argparse.Namespace) -> int:
 def cmd_triangulate(args: argparse.Namespace) -> int:
     cameras = load_rig_file(args.rig)
     rows = load_observations(args.obs)
-    by_joint: dict[int, list[tuple[int, float, float, float]]] = {}
-    for view_id, joint_id, x, y, confidence in rows:
+    by_joint: dict[int, list[tuple[int, float, float]]] = {}
+    for view_id, joint_id, x, y, _ in rows:
         if not 0 <= view_id < len(cameras):
             raise IndexOutOfRange(f"view_id {view_id} outside 0..{len(cameras) - 1}")
-        by_joint.setdefault(joint_id, []).append((view_id, x, y, confidence))
+        by_joint.setdefault(joint_id, []).append((view_id, x, y))
 
     entropy = np.random.SeedSequence(args.seed)
     seeds = entropy.spawn(len(by_joint))
@@ -154,10 +154,7 @@ def cmd_triangulate(args: argparse.Namespace) -> int:
     points: list[np.ndarray] = []
     confidences: list[float] = []
     for seq, joint_id in zip(seeds, sorted(by_joint)):
-        obs = [
-            Observation(cameras[v], np.array([x, y]), c)
-            for v, x, y, c in by_joint[joint_id]
-        ]
+        obs = [Observation(cameras[v], np.array([x, y])) for v, x, y in by_joint[joint_id]]
         if len(obs) < 2:
             print(f"warning: joint {joint_id} seen once, skipped", file=sys.stderr)
             continue

@@ -10,8 +10,7 @@ into an aggregate that is added back through a residual projection:
 
 where the bottleneck scores in an embedded half-width space, w ~ softmax of
 (theta^T q) . (phi^T s_i). Pixels whose epipolar line misses the source map
-are passed through unchanged. Logits are plain dot products; an optional
-temperature scales them and defaults to 1.
+are passed through unchanged. Logits are plain dot products.
 
 The forward pass gathers and attends the valid pixels in fixed blocks of
 _BLOCK, so its memory is the sampling plan plus one block of samples, and
@@ -74,15 +73,12 @@ class FusionParams:
     theta: np.ndarray | None = None
     phi: np.ndarray | None = None
     g: np.ndarray | None = None
-    temperature: float = 1.0
 
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
         if self.weight_mode not in WEIGHT_MODES:
             raise ValueError(f"weight_mode must be one of {WEIGHT_MODES}")
-        if not (float(self.temperature) > 0.0):
-            raise ValueError("temperature must be positive")
         w_z = np.array(self.w_z, dtype=np.float64, copy=True)
         if w_z.ndim != 2 or not np.all(np.isfinite(w_z)):
             raise ShapeMismatch("w_z must be a finite 2-D matrix")
@@ -123,7 +119,6 @@ class FusionParams:
         weight_mode: str,
         channels: int,
         seed: int | np.random.SeedSequence = 0,
-        temperature: float = 1.0,
     ) -> "FusionParams":
         """Fresh parameters: zero residual projection, seeded embeddings.
 
@@ -132,25 +127,21 @@ class FusionParams:
         Embeddings draw from uniform(-1/sqrt(C), 1/sqrt(C)).
         """
         if variant == "identity":
-            return cls(variant, weight_mode, np.zeros((channels, channels)),
-                       temperature=temperature)
+            return cls(variant, weight_mode, np.zeros((channels, channels)))
         rng = np.random.default_rng(seed)
         bound = 1.0 / np.sqrt(channels)
         half = channels // 2
         theta, phi, g = (rng.uniform(-bound, bound, size=(channels, half)) for _ in range(3))
         return cls(variant, weight_mode, np.zeros((half, channels)),
-                   theta=theta, phi=phi, g=g, temperature=temperature)
+                   theta=theta, phi=phi, g=g)
 
 
 def similarity_weights(
-    query: np.ndarray,
-    samples: np.ndarray,
-    mode: str = "softmax",
-    temperature: float = 1.0,
+    query: np.ndarray, samples: np.ndarray, mode: str = "softmax"
 ) -> np.ndarray:
     """Attention weights over K samples from dot-product similarity.
 
-    softmax: w_i = exp(z_i - max_j z_j) / sum, z_i = temperature * q . s_i.
+    softmax: w_i = exp(z_i - max_j z_j) / sum, z_i = q . s_i.
     max: one-hot at the largest logit, lowest index on ties.
     """
     query = np.asarray(query, dtype=np.float64)
@@ -159,7 +150,7 @@ def similarity_weights(
         raise ShapeMismatch("query must be (C,) and samples (K, C)")
     if mode not in WEIGHT_MODES:
         raise ValueError(f"mode must be one of {WEIGHT_MODES}")
-    return _batch_weights(temperature * (samples @ query)[None, :], mode)[0]
+    return _batch_weights((samples @ query)[None, :], mode)[0]
 
 
 @dataclass(eq=False)
@@ -243,7 +234,10 @@ def _plan_pixels(ref, src, ref_hw, src_hw, xs, ys, k):
     f = fundamental_matrix(ref, src)
 
     pixels = np.stack([xs, ys, np.ones_like(xs)], axis=1)
-    lines, line_ok = normalize_lines(pixels @ f.T)
+    # A one-row matmul takes BLAS's matrix-vector path and rounds otherwise:
+    # multiply a lone pixel as a pair and keep row 0.
+    rows = np.repeat(pixels, 2, axis=0) if len(pixels) == 1 else pixels
+    lines, line_ok = normalize_lines((rows @ f.T)[: len(pixels)])
     clip_ok, ends = clip_lines(lines, src_w, src_h)
     valid = line_ok & clip_ok
 
@@ -275,9 +269,14 @@ def _attend(
     Returns the weights (n, K), the fused rows (n, C) and the intermediates
     that transformer_backward reads, keyed by _ForwardState field name.
     """
-    tau = params.temperature
+    if len(queries) == 1:
+        # A one-row matmul takes BLAS's matrix-vector path and rounds otherwise:
+        # attend a lone row as a pair and keep row 0 of every output.
+        weights, out, saved = _attend(params, np.repeat(queries, 2, axis=0),
+                                      np.repeat(samples, 2, axis=0))
+        return weights[:1], out[:1], {name: value[:1] for name, value in saved.items()}
     if params.variant == "identity":
-        logits = tau * np.einsum("nc,nkc->nk", queries, samples)
+        logits = np.einsum("nc,nkc->nk", queries, samples)
         weights = _batch_weights(logits, params.weight_mode)
         agg = np.einsum("nk,nkc->nc", weights, samples)
         return weights, queries + agg @ params.w_z.T, {"agg": agg}
@@ -285,7 +284,7 @@ def _attend(
     n, k, c = samples.shape
     u = queries @ params.theta
     v = (samples.reshape(n * k, c) @ params.phi).reshape(n, k, c // 2)
-    logits = tau * np.einsum("nd,nkd->nk", u, v)
+    logits = np.einsum("nd,nkd->nk", u, v)
     weights = _batch_weights(logits, params.weight_mode)
     h_emb = (samples.reshape(n * k, c) @ params.g).reshape(n, k, c // 2)
     m = np.einsum("nk,nkd->nd", weights, h_emb)
@@ -297,14 +296,9 @@ def _attend_at(f_ref, f_src, ref, src, params, k, pixels):
 
     Returns (valid, locations, samples, weights): valid flags each pixel,
     and the others cover the valid ones in order with the bits of
-    transformer_forward's plan and state, if that plan has 2+ valid pixels.
+    transformer_forward's plan and state.
     """
     xs, ys = np.asarray(pixels, dtype=np.intp).reshape(-1, 2).T
-    n = len(xs)
-    # A one-row matmul takes BLAS's matrix-vector path and rounds otherwise:
-    # plan a lone pixel, and attend a lone valid one, twice; keep row 0.
-    if n == 1:
-        xs, ys = np.repeat(xs, 2), np.repeat(ys, 2)
     valid, locations, corner, blend = _plan_pixels(
         ref, src, (f_ref.height, f_ref.width), (f_src.height, f_src.width),
         xs.astype(np.float64), ys.astype(np.float64), k,
@@ -312,11 +306,8 @@ def _attend_at(f_ref, f_src, ref, src, params, k, pixels):
     c = f_src.channels
     src_flat = f_src.data.reshape(f_src.height * f_src.width, c)
     samples = bilinear_gather(src_flat, f_src.width, corner, blend).reshape(-1, k, c)
-    queries = f_ref.data[ys[valid], xs[valid]]
-    rows = [0, 0] if len(queries) == 1 else slice(None)
-    weights = _attend(params, queries[rows], samples[rows])[0]
-    kept = np.count_nonzero(valid[:n])
-    return valid[:n], locations[:kept], samples[:kept], weights[:kept]
+    weights = _attend(params, f_ref.data[ys[valid], xs[valid]], samples)[0]
+    return valid, locations, samples, weights
 
 
 def transformer_forward(
@@ -368,12 +359,8 @@ def transformer_forward(
     out = np.empty((n, c))
     samples = np.empty((n, k, c)) if record_grad else None
     saved: dict[str, np.ndarray] = {}
-    # One block even when n == 0, so the saved intermediates exist. A
-    # one-row matmul takes BLAS's matrix-vector path, which rounds
-    # differently, so a lone last row joins the block before it.
+    # One block even when n == 0, so the saved intermediates exist.
     starts = list(range(0, n, _BLOCK)) or [0]
-    if n > 1 and n % _BLOCK == 1:
-        starts.pop()
     for lo, hi in zip(starts, starts[1:] + [n]):
         reads = slice(lo * k, hi * k)
         block = bilinear_gather(src_flat, src_w, plan.corner[reads], plan.blend[:, reads])
@@ -419,7 +406,6 @@ def transformer_backward(state: _ForwardState | None, grad_fused: np.ndarray) ->
     d_ref = g_flat.copy()  # identity path reaches every pixel
     gv = g_flat[plan.valid]
     queries, samples, weights = state.query, state.samples, state.weights
-    tau = params.temperature
     softmax = params.weight_mode == "softmax"
 
     # Source gradients ds are channel-major, (C, n*K) in C order, for bilinear_scatter.
@@ -432,8 +418,8 @@ def transformer_backward(state: _ForwardState | None, grad_fused: np.ndarray) ->
         ds = np.multiply(da.T[:, :, None], weights, out=np.empty((c, n, k)))
         if softmax:
             dz = weights * (dw - np.sum(weights * dw, axis=1, keepdims=True))
-            d_ref[plan.valid] += tau * np.einsum("nk,nkc->nc", dz, samples)
-            ds += np.multiply(queries.T[:, :, None], tau * dz, out=np.empty((c, n, k)))
+            d_ref[plan.valid] += np.einsum("nk,nkc->nc", dz, samples)
+            ds += np.multiply(queries.T[:, :, None], dz, out=np.empty((c, n, k)))
     else:
         flat = samples.reshape(n * k, c)
         dm = gv @ params.w_z.T
@@ -446,8 +432,8 @@ def transformer_backward(state: _ForwardState | None, grad_fused: np.ndarray) ->
         phi_g = np.zeros_like(params.phi)
         if softmax:
             dz = weights * (dw - np.sum(weights * dw, axis=1, keepdims=True))
-            du = tau * np.einsum("nk,nkd->nd", dz, state.v)
-            dv = (tau * dz[:, :, None] * state.u[:, None, :]).reshape(n * k, c // 2)
+            du = np.einsum("nk,nkd->nd", dz, state.v)
+            dv = (dz[:, :, None] * state.u[:, None, :]).reshape(n * k, c // 2)
             d_ref[plan.valid] += du @ params.theta.T
             theta_g += np.einsum("nc,nd->cd", queries, du)
             ds += params.phi @ dv.T

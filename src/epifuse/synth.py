@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -312,13 +312,9 @@ def run_pipeline(
 
     # Heatmap readout per view and joint, then optional detection noise.
     detections = np.zeros((n_views, n_joints, 2))
-    confidences = np.zeros((n_views, n_joints))
     for r in range(n_views):
         for j in range(n_joints):
-            corr = fused[r].data @ scene.descriptors[j]
-            (px, py), conf = argmax_peak(corr)
-            detections[r, j] = (px, py)
-            confidences[r, j] = min(max(conf, 0.0), 1.0)
+            detections[r, j] = argmax_peak(fused[r].data @ scene.descriptors[j])[0]
     noise = np.random.default_rng(s_heat).standard_normal((n_views, n_joints, 2))
     detections = detections + noise_px * noise
     analytic_noise = np.random.default_rng(s_analytic).standard_normal(
@@ -327,12 +323,11 @@ def run_pipeline(
     analytic_det = proj + noise_px * analytic_noise
 
     heat_points, heat_valid, heat_inliers = _triangulate_joints(
-        cams_m, detections, confidences, visible, ransac_threshold_px,
-        ransac_iterations, s_ransac_heat,
+        cams_m, detections, visible, ransac_threshold_px, ransac_iterations, s_ransac_heat,
     )
     ana_points, ana_valid, _ = _triangulate_joints(
-        cams_m, analytic_det, np.ones_like(confidences), visible,
-        ransac_threshold_px, ransac_iterations, s_ransac_analytic,
+        cams_m, analytic_det, visible, ransac_threshold_px, ransac_iterations,
+        s_ransac_analytic,
     )
 
     mpjpe_mm = _masked_mpjpe(heat_points, heat_valid, scene.joints)
@@ -394,7 +389,7 @@ def _choose_sources(angles_deg: np.ndarray, target_angle_deg: float) -> list[int
 
 
 def _triangulate_joints(
-    cams_m, detections, confidences, visible, threshold_px, iterations, entropy
+    cams_m, detections, visible, threshold_px, iterations, entropy
 ) -> tuple[np.ndarray, np.ndarray, list[int | None]]:
     n_joints = detections.shape[1]
     seeds = entropy.spawn(n_joints)
@@ -403,7 +398,7 @@ def _triangulate_joints(
     inliers: list[int | None] = [None] * n_joints
     for j in range(n_joints):
         obs = [
-            Observation(cams_m[r], detections[r, j], confidences[r, j])
+            Observation(cams_m[r], detections[r, j])
             for r in range(detections.shape[0])
             if visible[r, j]
         ]
@@ -510,6 +505,8 @@ class ScenarioConfig:
             ("ransac_iterations", self.ransac_iterations >= 1, "at least 1"),
             ("ransac_threshold_px", self.ransac_threshold_px > 0, "positive"),
             ("map_wh", self.map_wh is None or self.map_wh >= 2, "at least 2"),
+            ("head_size_px", self.head_size_px > 0, "positive"),
+            ("noise_px", self.noise_px >= 0, "non-negative"),
             ("variant", self.variant in VARIANTS, f"one of {VARIANTS}"),
             ("weight_mode", self.weight_mode in WEIGHT_MODES, f"one of {WEIGHT_MODES}"),
             ("channels", self.variant != "bottleneck" or self.channels % 2 == 0,
@@ -751,27 +748,16 @@ def gradient_check(
     )
     grads = transformer_backward(result.state, upstream)
 
-    def rebuild(name: str, arr: np.ndarray) -> FusionParams:
-        parts = {
-            "w_z": params.w_z, "theta": params.theta, "phi": params.phi, "g": params.g,
-        }
-        parts[name] = arr
-        if variant == "identity":
-            return FusionParams(variant, mode, parts["w_z"])
-        return FusionParams(variant, mode, parts["w_z"], theta=parts["theta"],
-                            phi=parts["phi"], g=parts["g"])
-
     checks: list[tuple[np.ndarray, np.ndarray, object]] = [
         (f_ref, grads.f_ref, lambda a: loss(a, f_src, params)),
         (f_src, grads.f_src, lambda a: loss(f_ref, a, params)),
-        (params.w_z, grads.w_z, lambda a: loss(f_ref, f_src, rebuild("w_z", a))),
     ]
-    if variant == "bottleneck":
-        checks += [
-            (params.theta, grads.theta, lambda a: loss(f_ref, f_src, rebuild("theta", a))),
-            (params.phi, grads.phi, lambda a: loss(f_ref, f_src, rebuild("phi", a))),
-            (params.g, grads.g, lambda a: loss(f_ref, f_src, rebuild("g", a))),
-        ]
+    names = ("w_z",) if variant == "identity" else ("w_z", "theta", "phi", "g")
+    checks += [
+        (getattr(params, name), getattr(grads, name),
+         lambda a, name=name: loss(f_ref, f_src, replace(params, **{name: a})))
+        for name in names
+    ]
 
     worst = 0.0
     entries = 0

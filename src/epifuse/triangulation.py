@@ -29,18 +29,14 @@ class Observation:
 
     cam: CameraView
     p: np.ndarray  # (x, y) pixels
-    confidence: float = 1.0
 
     def __post_init__(self) -> None:
         p = np.asarray(self.p, dtype=np.float64)
         if p.shape != (2,) or not np.all(np.isfinite(p)):
             raise ValueError("observation point must be a finite 2-vector")
-        if not (0.0 <= float(self.confidence) <= 1.0):
-            raise ValueError("confidence must lie in [0, 1]")
         p = p.copy()
         p.flags.writeable = False
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "confidence", float(self.confidence))
 
 
 @dataclass(eq=False)
@@ -182,4 +178,6 @@ def load_observations(path: str | Path) -> list[tuple[int, int, float, float, fl
                 )
             except ValueError as exc:
                 raise ConfigError(f"{path}: row {line_no}: {exc}") from exc
+            if not 0.0 <= rows[-1][4] <= 1.0:
+                raise ConfigError(f"{path}: row {line_no}: confidence must lie in [0, 1]")
     return rows

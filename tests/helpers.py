@@ -90,7 +90,7 @@ def attention_weights(query, samples, params) -> np.ndarray:
     samples = np.asarray(samples, dtype=np.float64)
     if params.variant == "bottleneck":
         query, samples = params.theta.T @ query, samples @ params.phi
-    z = params.temperature * np.array([float(s @ query) for s in samples])
+    z = np.array([float(s @ query) for s in samples])
     if params.weight_mode == "max":
         w = np.zeros(len(z))
         w[int(np.argmax(z))] = 1.0
@@ -140,15 +140,22 @@ def gather_all_samples(plan, src_data) -> np.ndarray:
 
 
 def unblocked_forward(f_ref, f_src, params, plan, attend=_attend) -> tuple[np.ndarray, dict]:
-    """Fused (H, W, C) map and the _ForwardState arrays, keyed by field name."""
+    """Fused (H, W, C) map and the _ForwardState arrays, keyed by field name.
+
+    Like the library, attends a lone row as a pair: a one-row matmul takes
+    BLAS's matrix-vector path, which rounds otherwise.
+    """
     h, w = plan.ref_hw
     c = f_ref.channels
     queries = f_ref.data.reshape(h * w, c)[plan.valid]
     samples = gather_all_samples(plan, f_src.data)
-    weights, out, saved = attend(params, queries, samples)
+    n = len(queries)
+    rows = [0, 0] if n == 1 else slice(None)
+    weights, out, saved = attend(params, queries[rows], samples[rows])
     fused = f_ref.data.reshape(h * w, c).copy()
-    fused[plan.valid] = out
-    state = {"query": queries, "samples": samples, "weights": weights, **saved}
+    fused[plan.valid] = out[:n]
+    state = {"query": queries, "samples": samples, "weights": weights[:n],
+             **{name: value[:n] for name, value in saved.items()}}
     return fused.reshape(h, w, c), state
 
 
@@ -174,15 +181,13 @@ def add_at_scatter(grad, size, width, corner, blend) -> np.ndarray:
 
 def einsum_attend(params, queries, samples) -> tuple[np.ndarray, np.ndarray, dict]:
     """(weights, fused rows, saved intermediates), like fusion._attend."""
-    tau = params.temperature
     if params.variant == "identity":
-        weights = _batch_weights(tau * np.einsum("nc,nkc->nk", queries, samples),
-                                 params.weight_mode)
+        weights = _batch_weights(np.einsum("nc,nkc->nk", queries, samples), params.weight_mode)
         agg = np.einsum("nk,nkc->nc", weights, samples)
         return weights, queries + agg @ params.w_z.T, {"agg": agg}
     u = queries @ params.theta
     v = np.einsum("nkc,cd->nkd", samples, params.phi)
-    weights = _batch_weights(tau * np.einsum("nd,nkd->nk", u, v), params.weight_mode)
+    weights = _batch_weights(np.einsum("nd,nkd->nk", u, v), params.weight_mode)
     h_emb = np.einsum("nkc,cd->nkd", samples, params.g)
     m = np.einsum("nk,nkd->nd", weights, h_emb)
     return weights, queries + m @ params.w_z, {"u": u, "v": v, "h_emb": h_emb, "m": m}
@@ -197,7 +202,6 @@ def einsum_backward(plan, params, state, grad_fused) -> dict:
     d_ref = g_flat.copy()
     gv = g_flat[plan.valid]
     queries, samples, weights = state["query"], state["samples"], state["weights"]
-    tau = params.temperature
     softmax = params.weight_mode == "softmax"
     grads = {}
     if params.variant == "identity":
@@ -207,8 +211,8 @@ def einsum_backward(plan, params, state, grad_fused) -> dict:
         ds = weights[:, :, None] * da[:, None, :]
         if softmax:
             dz = weights * (dw - np.sum(weights * dw, axis=1, keepdims=True))
-            d_ref[plan.valid] += tau * np.einsum("nk,nkc->nc", dz, samples)
-            ds += tau * dz[:, :, None] * queries[:, None, :]
+            d_ref[plan.valid] += np.einsum("nk,nkc->nc", dz, samples)
+            ds += dz[:, :, None] * queries[:, None, :]
     else:
         dm = gv @ params.w_z.T
         grads["w_z"] = np.einsum("nd,nc->dc", state["m"], gv)
@@ -220,8 +224,8 @@ def einsum_backward(plan, params, state, grad_fused) -> dict:
         grads["phi"] = np.zeros_like(params.phi)
         if softmax:
             dz = weights * (dw - np.sum(weights * dw, axis=1, keepdims=True))
-            du = tau * np.einsum("nk,nkd->nd", dz, state["v"])
-            dv = tau * dz[:, :, None] * state["u"][:, None, :]
+            du = np.einsum("nk,nkd->nd", dz, state["v"])
+            dv = dz[:, :, None] * state["u"][:, None, :]
             d_ref[plan.valid] += du @ params.theta.T
             grads["theta"] += np.einsum("nc,nd->cd", queries, du)
             ds += np.einsum("nkd,cd->nkc", dv, params.phi)

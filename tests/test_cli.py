@@ -8,7 +8,12 @@ from epifuse.geometry import load_rig_file, project
 from epifuse.metrics import jdr, load_pose_csv, save_pose_csv
 from epifuse.sampler import load_feature_map
 from epifuse.synth import ScenarioConfig, scenario_to_dict, similarity_profile
-from epifuse.triangulation import Observation, dlt_triangulate, save_observations
+from epifuse.triangulation import (
+    Observation,
+    dlt_triangulate,
+    load_observations,
+    save_observations,
+)
 
 SMALL_DICT = {
     "cameras": 4,
@@ -103,6 +108,7 @@ class TestRun:
         ("map_wh", {"map_wh": 1}), ("variant", {"variant": "nope"}),
         ("weight_mode", {"weight_mode": "median"}),
         ("channels", {"variant": "bottleneck", "channels": 7}),
+        ("head_size_px", {"head_size_px": 0}), ("noise_px", {"noise_px": -1}),
     ])
     def test_out_of_range_exits_2_before_any_file(self, tmp_path, capsys, key, bad):
         cfg = tmp_path / "bad.json"
@@ -254,6 +260,17 @@ class TestTriangulate:
                    "--out", str(out)])
         assert rc == 2
         assert not out.exists()
+
+    def test_bad_confidence_exits_2(self, tmp_path, capsys):
+        rig_path, obs_path, _, _ = self.make_inputs(tmp_path)
+        rows = load_observations(obs_path)
+        save_observations([rows[0][:4] + (1.5,)] + rows[1:], obs_path)
+        out = tmp_path / "pose.csv"
+        rc = main(["triangulate", "--rig", str(rig_path), "--obs", str(obs_path),
+                   "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        assert "confidence" in capsys.readouterr().err
 
 
 class TestGradcheck:

@@ -73,15 +73,6 @@ class TestSimilarityWeights:
         want = np.exp(z) / np.sum(np.exp(z))
         assert np.allclose(similarity_weights(q, s, "softmax"), want, atol=1e-14)
 
-    def test_temperature_scales_logits(self):
-        rng = np.random.default_rng(5)
-        q = rng.standard_normal(4)
-        s = rng.standard_normal((7, 4))
-        z = 2.5 * (s @ q)
-        want = np.exp(z - z.max()) / np.sum(np.exp(z - z.max()))
-        got = similarity_weights(q, s, "softmax", temperature=2.5)
-        assert np.allclose(got, want, atol=1e-14)
-
     def test_constant_logit_shift_invariance(self):
         # Adding c * q / |q|^2 to every sample adds the constant c to every
         # logit, which softmax must ignore.
@@ -108,7 +99,7 @@ class TestSimilarityWeights:
         q = rng.standard_normal(4)
         s = rng.standard_normal((6, 4))
         hard = similarity_weights(q, s, "max")
-        soft = similarity_weights(q, s, "softmax", temperature=1e4)
+        soft = similarity_weights(q, 1e4 * s, "softmax")
         assert np.allclose(hard, soft, atol=1e-9)
 
     @settings(max_examples=60, deadline=None)
@@ -370,7 +361,7 @@ class TestBlockedForward:
     def test_matches_unblocked_oracle(self, pair, n_valid, variant, mode):
         ref, src, f_ref, f_src, full_plan = pair
         plan = first_valid(full_plan, n_valid)
-        params = dataclasses.replace(make_params(variant, mode, self.C, seed=21), temperature=1.7)
+        params = make_params(variant, mode, self.C, seed=21)
         out = transformer_forward(
             f_ref, f_src, ref, src, params, self.K,
             plan=plan, record_grad=True,
@@ -469,7 +460,7 @@ class TestEinsumOracle:
     def test_forward_and_backward(self, pair, plans, k, n_valid, variant, mode):
         ref, src, f_ref, f_src, _ = pair
         plan = first_valid(plans[k], n_valid)
-        params = dataclasses.replace(make_params(variant, mode, PAIR_C, seed=24), temperature=1.7)
+        params = make_params(variant, mode, PAIR_C, seed=24)
         out = transformer_forward(f_ref, f_src, ref, src, params, k, plan=plan, record_grad=True)
         upstream = np.random.default_rng(25).standard_normal((32, 32, PAIR_C))
         grads = transformer_backward(out.state, upstream)
@@ -521,30 +512,36 @@ def test_bottleneck_bits_do_not_depend_on_blas_threads():
     assert digests[0] == digests[1] and len(digests[0]) > 100
 
 
-# (x, y) pixel lists of the pair fixture. (6, 1) and (10, 0) are valid and
-# (0, 0) is skipped. Alone, (6, 1) gets other locations from a one-row plan,
-# and next to a skipped pixel, (10, 0) gets other bottleneck softmax weights
-# from a one-row attention.
+# (x, y) pixel lists of the pair fixture, each with the number of its plan's
+# first valid pixels the dense pass attends (None: all of them). (6, 1),
+# (8, 0) and (10, 0) are valid and (0, 0) is skipped; (8, 0) is the first
+# valid pixel. Without the one-row rule of _plan_pixels and _attend, (6, 1)
+# alone would get other locations, and (10, 0) next to a skipped pixel
+# other bottleneck softmax weights.
 PIXEL_LISTS = {
-    "none": [],
-    "lone": [(6, 1)],
-    "lone-skipped": [(0, 0)],
-    "two": [(6, 1), (10, 0)],
-    "repeated": [(6, 1), (20, 17), (6, 1), (6, 1), (3, 25)],
-    "valid-and-skipped": [(10, 0), (0, 0)],
-    "skipped-mixed-in": [(20, 17), (0, 0), (6, 1), (3, 25)],
+    "none": ([], None),
+    "lone": ([(6, 1)], None),
+    "lone-skipped": ([(0, 0)], None),
+    "two": ([(6, 1), (10, 0)], None),
+    "repeated": ([(6, 1), (20, 17), (6, 1), (6, 1), (3, 25)], None),
+    "valid-and-skipped": ([(10, 0), (0, 0)], None),
+    "skipped-mixed-in": ([(20, 17), (0, 0), (6, 1), (3, 25)], None),
+    "one-valid-plan": ([(8, 0)], 1),
 }
 
 
 class TestAttendAt:
     """Attention at a list of pixels equals the dense pass at them bit for bit."""
 
-    @pytest.mark.parametrize("pixels", PIXEL_LISTS.values(), ids=PIXEL_LISTS.keys())
+    @pytest.mark.parametrize("case", PIXEL_LISTS.values(), ids=PIXEL_LISTS.keys())
     @pytest.mark.parametrize("variant", ["identity", "bottleneck"])
     @pytest.mark.parametrize("mode", ["softmax", "max"])
-    def test_matches_dense_pass(self, pair, pixels, variant, mode):
+    def test_matches_dense_pass(self, pair, case, variant, mode):
         ref, src, f_ref, f_src, plan = pair
-        params = dataclasses.replace(make_params(variant, mode, PAIR_C, seed=21), temperature=1.7)
+        pixels, n_valid = case
+        if n_valid is not None:
+            plan = first_valid(plan, n_valid)
+        params = make_params(variant, mode, PAIR_C, seed=21)
         state = transformer_forward(
             f_ref, f_src, ref, src, params, PAIR_K, plan=plan, record_grad=True
         ).state
@@ -581,15 +578,6 @@ class TestParamsValidation:
                 theta=np.zeros((4, 3)),
                 phi=np.zeros((4, 2)),
                 g=np.zeros((4, 2)),
-            )
-
-    def test_temperature_positive(self):
-        with pytest.raises(ValueError):
-            FusionParams(
-                variant="identity",
-                weight_mode="softmax",
-                w_z=np.zeros((2, 2)),
-                temperature=0.0,
             )
 
     def test_bad_variant(self):

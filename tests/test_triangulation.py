@@ -176,11 +176,6 @@ class TestObservationValidation:
         with pytest.raises(ValueError):
             Observation(cam, np.array([np.nan, 1.0]))
 
-    def test_rejects_bad_confidence(self):
-        cam = ring_cameras(3)[0]
-        with pytest.raises(ValueError):
-            Observation(cam, np.array([1.0, 1.0]), confidence=1.5)
-
     def test_point_read_only(self):
         cam = ring_cameras(3)[0]
         obs = Observation(cam, np.array([1.0, 2.0]))
@@ -209,6 +204,12 @@ class TestObservationsIO:
         path = tmp_path / "obs.csv"
         path.write_text("view_id,joint_id,x,y,confidence\n0,0,1.0\n")
         with pytest.raises(ConfigError, match="row 2"):
+            load_observations(path)
+
+    def test_rejects_bad_confidence(self, tmp_path):
+        path = tmp_path / "obs.csv"
+        path.write_text("view_id,joint_id,x,y,confidence\n0,0,1.0,2.0,1.5\n")
+        with pytest.raises(ConfigError, match="row 2: confidence"):
             load_observations(path)
 
     def test_non_numeric_field(self, tmp_path):
