@@ -15,8 +15,9 @@ are passed through unchanged. Logits are plain dot products.
 The forward pass gathers and attends the valid pixels in fixed blocks of
 _BLOCK, so its memory is the sampling plan plus one block of samples, and
 its output bytes depend on neither the block nor the thread count: every
-pixel's arithmetic is the same whichever block it falls in. It can retain
-the intermediate state needed by transformer_backward, which returns exact
+pixel's arithmetic is the same whichever block it falls in. A recorded
+pass gathers every sample, still block by block, and attends them all at
+once; it keeps the state transformer_backward reads, which returns exact
 analytic gradients for both feature maps and all fusion parameters. Sample
 locations depend only on camera geometry, so no gradient flows through
 them; in max mode the weights are piecewise constant and the backward pass
@@ -118,13 +119,14 @@ class FusionParams:
         variant: str,
         weight_mode: str,
         channels: int,
-        seed: int | np.random.SeedSequence = 0,
+        seed: int | np.random.SeedSequence | np.random.Generator = 0,
     ) -> "FusionParams":
         """Fresh parameters: zero residual projection, seeded embeddings.
 
         A zero w_z makes fusion an exact pass-through, so inserting the
         stage into an existing pipeline changes nothing until w_z moves.
-        Embeddings draw from uniform(-1/sqrt(C), 1/sqrt(C)).
+        Embeddings draw from uniform(-1/sqrt(C), 1/sqrt(C)), from seed
+        itself when it is a Generator.
         """
         if variant == "identity":
             return cls(variant, weight_mode, np.zeros((channels, channels)))
@@ -158,18 +160,18 @@ class SamplingPlan:
     """Geometry of a dense forward pass: one epipolar segment per pixel.
 
     valid flags the reference pixels (row-major) whose line intersects the
-    source map; locations and the bilinear_plan of their reads (corner
-    indices and blend weights) cover only those pixels, K reads per pixel
-    in pixel order. Built once per view pair, the plan is reusable across
-    any feature or parameter values at the same resolutions, and it is all
-    the memory a forward pass holds besides one block of samples.
+    source map; the bilinear_plan of their reads (corner indices and blend
+    weights) covers only those pixels, K reads per pixel in pixel order, so
+    the plan keeps 5 values per read. Built once per view pair, the plan is
+    reusable across any feature or parameter values at the same
+    resolutions, and it is all the memory an unrecorded forward pass holds
+    besides one block of samples.
     """
 
     ref_hw: tuple[int, int]
     src_hw: tuple[int, int]
     k: int
     valid: np.ndarray  # (H*W,) bool
-    locations: np.ndarray  # (n_valid, K, 2)
     corner: np.ndarray  # (n_valid*K,) flat top-left corner index
     blend: np.ndarray  # (4, n_valid*K) corner weights
 
@@ -221,12 +223,12 @@ def plan_epipolar_sampling(
     ref_h, ref_w = ref_hw
     xs = np.tile(np.arange(ref_w, dtype=np.float64), ref_h)
     ys = np.repeat(np.arange(ref_h, dtype=np.float64), ref_w)
-    planned = _plan_pixels(ref, src, ref_hw, src_hw, xs, ys, k)
-    return SamplingPlan(tuple(ref_hw), tuple(src_hw), k, *planned)
+    valid, _, corner, blend = _plan_pixels(ref, src, ref_hw, src_hw, xs, ys, k)
+    return SamplingPlan(tuple(ref_hw), tuple(src_hw), k, valid, corner, blend)
 
 
 def _plan_pixels(ref, src, ref_hw, src_hw, xs, ys, k):
-    """SamplingPlan's (valid, locations, corner, blend) for the pixels (xs, ys)."""
+    """(valid, locations, corner, blend) of the pixels (xs, ys); a plan drops locations."""
     ref_h, ref_w = ref_hw
     src_h, src_w = src_hw
     ref = camera_at_resolution(ref, ref_w, ref_h)
@@ -326,7 +328,9 @@ def transformer_forward(
     Every pixel is processed independently; skipped pixels (no epipolar
     intersection) keep their reference feature bit for bit. Valid pixels
     are gathered and attended in fixed blocks of _BLOCK, so memory beyond
-    the plan is one block of samples unless record_grad keeps them all.
+    the plan is one block of samples. With record_grad, every block of
+    samples is kept and attended in one call whose intermediates form the
+    state; the fused map has the same bits either way.
     Pass a precomputed plan to amortize the geometry across repeated calls
     with the same cameras, map shapes, and K. _attend_at gives the weights
     of chosen pixels alone, with the same bits.
@@ -355,30 +359,28 @@ def transformer_forward(
     queries = f_ref.data.reshape(h * w, c)[valid]
     src_flat = f_src.data.reshape(src_h * src_w, c)
     n = len(queries)
-    weights = np.empty((n, k))
-    out = np.empty((n, c))
-    samples = np.empty((n, k, c)) if record_grad else None
-    saved: dict[str, np.ndarray] = {}
-    # One block even when n == 0, so the saved intermediates exist.
-    starts = list(range(0, n, _BLOCK)) or [0]
-    for lo, hi in zip(starts, starts[1:] + [n]):
+
+    def gather(lo: int, hi: int) -> np.ndarray:
         reads = slice(lo * k, hi * k)
         block = bilinear_gather(src_flat, src_w, plan.corner[reads], plan.blend[:, reads])
-        block = block.reshape(hi - lo, k, c)
-        weights[lo:hi], out[lo:hi], block_saved = _attend(params, queries[lo:hi], block)
-        if record_grad:
-            samples[lo:hi] = block
-            for name, value in block_saved.items():
-                if name not in saved:
-                    saved[name] = np.empty((n,) + value.shape[1:])
-                saved[name][lo:hi] = value
+        return block.reshape(hi - lo, k, c)
+
+    blocks = [(lo, min(lo + _BLOCK, n)) for lo in range(0, n, _BLOCK)]
+    state = None
+    if record_grad:
+        samples = np.empty((n, k, c))
+        for lo, hi in blocks:
+            samples[lo:hi] = gather(lo, hi)
+        weights, out, saved = _attend(params, queries, samples)
+        state = _ForwardState(plan, params, queries, samples, weights, **saved)
+    else:
+        out = np.empty((n, c))
+        for lo, hi in blocks:
+            out[lo:hi] = _attend(params, queries[lo:hi], gather(lo, hi))[1]
 
     fused_flat = f_ref.data.reshape(h * w, c).copy()
     fused_flat[valid] = out
-    fused = FeatureMap(fused_flat.reshape(h, w, c))
-
-    state = _ForwardState(plan, params, queries, samples, weights, **saved) if record_grad else None
-    return ForwardResult(fused=fused, state=state)
+    return ForwardResult(fused=FeatureMap(fused_flat.reshape(h, w, c)), state=state)
 
 
 def transformer_backward(state: _ForwardState | None, grad_fused: np.ndarray) -> FusionGradients:

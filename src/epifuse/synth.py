@@ -501,6 +501,14 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         # Range checks, so a bad config fails as a config error before any compute.
         for key, ok, need in (
+            ("cameras", self.cameras >= 2, "at least 2"),
+            ("joints", self.joints >= 1, "at least 1"), ("seed", self.seed >= 0, "non-negative"),
+            ("channels", self.channels >= 4, "at least 4"),
+            ("image_wh", self.image_wh >= 2, "at least 2"),
+            ("radius_mm", 0 < self.radius_mm < np.inf, "positive and finite"),
+            ("focal_px", 0 < self.focal_px < np.inf, "positive and finite"),
+            ("extent_mm", 0 < self.extent_mm < np.inf, "positive and finite"),
+            ("target_angle_deg", 0 <= self.target_angle_deg <= 180, "in [0, 180]"),
             ("K", self.k >= 1, "at least 1"), ("sigma_px", self.sigma_px > 0, "positive"),
             ("ransac_iterations", self.ransac_iterations >= 1, "at least 1"),
             ("ransac_threshold_px", self.ransac_threshold_px > 0, "positive"),
@@ -717,21 +725,9 @@ def gradient_check(
     rng = np.random.default_rng(seed)
     f_ref = rng.standard_normal((height, width, channels)) * 0.5
     f_src = rng.standard_normal((height, width, channels)) * 0.5
-    if variant == "identity":
-        params = FusionParams(
-            variant, mode, rng.standard_normal((channels, channels)) * 0.3
-        )
-    else:
-        bound = 1.0 / np.sqrt(channels)
-        half = channels // 2
-        params = FusionParams(
-            variant,
-            mode,
-            rng.standard_normal((half, channels)) * 0.3,
-            theta=rng.uniform(-bound, bound, (channels, half)),
-            phi=rng.uniform(-bound, bound, (channels, half)),
-            g=rng.uniform(-bound, bound, (channels, half)),
-        )
+    rows = channels if variant == "identity" else channels // 2
+    w_z = rng.standard_normal((rows, channels)) * 0.3
+    params = replace(FusionParams.initialize(variant, mode, channels, rng), w_z=w_z)
     upstream = rng.standard_normal((height, width, channels))
 
     plan = plan_epipolar_sampling(cam_r, cam_s, (height, width), (height, width), k)

@@ -109,6 +109,12 @@ class TestRun:
         ("weight_mode", {"weight_mode": "median"}),
         ("channels", {"variant": "bottleneck", "channels": 7}),
         ("head_size_px", {"head_size_px": 0}), ("noise_px", {"noise_px": -1}),
+        ("cameras", {"cameras": 1}), ("joints", {"joints": 0}), ("channels", {"channels": 2}),
+        ("image_wh", {"image_wh": 1}), ("seed", {"seed": -1}),
+        ("radius_mm", {"radius_mm": -5}), ("focal_px", {"focal_px": 0}),
+        ("extent_mm", {"extent_mm": 0}), ("focal_px", {"focal_px": float("inf")}),
+        ("target_angle_deg", {"target_angle_deg": float("nan")}),
+        ("target_angle_deg", {"target_angle_deg": 181}),
     ])
     def test_out_of_range_exits_2_before_any_file(self, tmp_path, capsys, key, bad):
         cfg = tmp_path / "bad.json"

@@ -16,6 +16,7 @@ from epifuse.fusion import (
     FusionParams,
     _attend_at,
     _ForwardState,
+    _plan_pixels,
     plan_epipolar_sampling,
     similarity_weights,
     transformer_backward,
@@ -247,7 +248,7 @@ class TestTransformerForward:
         for i, (y, x) in enumerate(list(zip(ys, xs))[:12]):
             sample_set = epipolar_samples(f_src, ref, src, (float(x), float(y)), k=8)
             assert sample_set is not None
-            assert np.allclose(plan.locations[i], sample_set.locations, atol=1e-9)
+            assert np.allclose(out.state.samples[i], sample_set.features, atol=1e-9)
             w = similarity_weights(f_ref.data[y, x], sample_set.features)
             assert np.allclose(out.state.weights[i], w, atol=1e-12)
 
@@ -309,7 +310,6 @@ def first_valid(plan, n):
     return dataclasses.replace(
         plan,
         valid=plan.valid & (np.cumsum(plan.valid) <= n),
-        locations=plan.locations[:n],
         corner=plan.corner[:reads],
         blend=plan.blend[:, :reads],
     )
@@ -368,6 +368,8 @@ class TestBlockedForward:
         )
         want_fused, want_state = unblocked_forward(f_ref, f_src, params, plan)
         assert same_bits(out.fused.data, want_fused)
+        unrecorded = transformer_forward(f_ref, f_src, ref, src, params, self.K, plan=plan)
+        assert same_bits(unrecorded.fused.data, want_fused)
 
         for field in dataclasses.fields(_ForwardState):
             if field.name in ("plan", "params"):
@@ -377,6 +379,21 @@ class TestBlockedForward:
                 assert same_bits(got, want_state[field.name]), field.name
             else:
                 assert got is None, field.name
+
+    @pytest.mark.parametrize("variant", ["identity", "bottleneck"])
+    @pytest.mark.parametrize("mode", ["softmax", "max"])
+    def test_recorded_equals_unrecorded_at_train_size(self, big_pair, variant, mode):
+        # The recorded pass attends all 160x160 pixels in one call and the
+        # unrecorded one in blocks; their fused maps must share every bit.
+        # The unblocked oracle's gathers would take about 1 GB at this size.
+        ref, src, f_ref, f_src, plan = big_pair
+        params = make_params(variant, mode, 16, seed=23)
+        fused = [
+            transformer_forward(f_ref, f_src, ref, src, params, 64, plan=plan,
+                                record_grad=record).fused.data
+            for record in (False, True)
+        ]
+        assert same_bits(*fused)
 
     @pytest.mark.parametrize("n_valid", VALID_COUNTS)
     def test_scatter_matches_add_at_oracle(self, pair, n_valid):
@@ -388,8 +405,8 @@ class TestBlockedForward:
 
     def test_forward_memory_is_plan_plus_one_block(self, big_pair):
         # 160x160, K=64, C=16: all samples at once would take 200 MB. The
-        # weights (13 MB), queries and outputs (3 MB each) and one block
-        # must fit well inside 64 MB.
+        # queries and outputs (3 MB each) and one block must fit well inside
+        # 64 MB.
         ref, src, f_ref, f_src, plan = big_pair
         params = make_params("identity", "softmax", 16, seed=23)
         tracemalloc.start()
@@ -419,9 +436,10 @@ class TestBlockedForward:
         assert peak < bound
 
     def test_plan_setup_memory(self):
-        # The plan keeps 7 values per read (2 location, 1 corner, 4 blend).
-        # Set-up may add 3 read-sized temporaries (clamped x and y, and the
-        # x corner) and per-pixel line arrays worth well under half a read.
+        # The plan keeps 5 values per read (1 corner, 4 blend) besides valid.
+        # Set-up also holds the 2 location values per read and may add 3
+        # read-sized temporaries (clamped x and y, and the x corner) and
+        # per-pixel line arrays worth well under half a read.
         ref, src = general_pair(160)
         tracemalloc.start()
         try:
@@ -429,7 +447,10 @@ class TestBlockedForward:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 10.5 * plan.corner.size * 8
+        reads = plan.corner.size
+        arrays = [v for v in vars(plan).values() if isinstance(v, np.ndarray)]
+        assert sum(a.nbytes for a in arrays) == 5 * reads * 8 + plan.valid.nbytes
+        assert peak < 10.5 * reads * 8
 
 
 ORACLE_KS = [1, PAIR_K, 64]
@@ -530,6 +551,13 @@ PIXEL_LISTS = {
 }
 
 
+def dense_locations(ref, src, hw, k):
+    """(n_valid, K, 2) read locations of every pixel a dense plan keeps, in plan order."""
+    xs = np.tile(np.arange(hw[1], dtype=np.float64), hw[0])
+    ys = np.repeat(np.arange(hw[0], dtype=np.float64), hw[1])
+    return _plan_pixels(ref, src, hw, hw, xs, ys, k)[1]
+
+
 class TestAttendAt:
     """Attention at a list of pixels equals the dense pass at them bit for bit."""
 
@@ -551,7 +579,7 @@ class TestAttendAt:
         flat = np.array([y * 32 + x for x, y in pixels], dtype=np.intp)
         assert same_bits(valid, plan.valid[flat])
         rows = (np.cumsum(plan.valid) - 1)[flat[valid]]
-        assert same_bits(locations, plan.locations[rows])
+        assert same_bits(locations, dense_locations(ref, src, (32, 32), PAIR_K)[rows])
         assert same_bits(samples, state.samples[rows])
         assert same_bits(weights, state.weights[rows])
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epifuse.errors import ConfigError, DegenerateLine
-from epifuse.fusion import plan_epipolar_sampling
+from epifuse.fusion import _plan_pixels, plan_epipolar_sampling
 from epifuse.geometry import (
     CameraView,
     EpipolarLine,
@@ -178,7 +178,8 @@ class TestScalarMatchesBatch:
         ys = np.repeat(np.arange(16, dtype=np.float64), 16)
         pixels = np.stack([xs, ys, np.ones_like(xs)], axis=1)
         raw = pixels @ fundamental_matrix(ref, src).T
-        locations = iter(plan.locations)
+        _, locations, _, _ = _plan_pixels(ref, src, (16, 16), (16, 16), xs, ys, k)
+        locations = iter(locations)
         for row, valid in zip(raw, plan.valid):
             try:
                 seg = clip_line_to_image(normalize_line(row), 16, 16)
