@@ -16,12 +16,12 @@ The forward pass gathers and attends the valid pixels in fixed blocks of
 _BLOCK, so its memory is the sampling plan plus one block of samples, and
 its output bytes depend on neither the block nor the thread count: every
 pixel's arithmetic is the same whichever block it falls in. A recorded
-pass gathers every sample, still block by block, and attends them all at
-once; it keeps the state transformer_backward reads, which returns exact
-analytic gradients for both feature maps and all fusion parameters. Sample
-locations depend only on camera geometry, so no gradient flows through
-them; in max mode the weights are piecewise constant and the backward pass
-differentiates the locally selected branch.
+pass keeps only the plan, the parameters and the maps; transformer_backward
+rebuilds each block from them and returns exact analytic gradients for both
+feature maps and all fusion parameters. Sample locations depend only on
+camera geometry, so no gradient flows through them; in max mode the weights
+are piecewise constant and the backward pass differentiates the locally
+selected branch.
 """
 
 from __future__ import annotations
@@ -180,14 +180,8 @@ class SamplingPlan:
 class _ForwardState:
     plan: SamplingPlan
     params: FusionParams
-    query: np.ndarray  # (n, C)
-    samples: np.ndarray  # (n, K, C)
-    weights: np.ndarray  # (n, K)
-    agg: np.ndarray | None = None  # identity: (n, C)
-    u: np.ndarray | None = None  # bottleneck: (n, C/2)
-    v: np.ndarray | None = None  # (n, K, C/2)
-    h_emb: np.ndarray | None = None  # (n, K, C/2)
-    m: np.ndarray | None = None  # (n, C/2)
+    f_ref: FeatureMap
+    f_src: FeatureMap
 
 
 @dataclass(eq=False)
@@ -269,7 +263,7 @@ def _attend(
     """Attention of n queries (n, C) over their samples (n, K, C).
 
     Returns the weights (n, K), the fused rows (n, C) and the intermediates
-    that transformer_backward reads, keyed by _ForwardState field name.
+    that transformer_backward reads, keyed by name.
     """
     if len(queries) == 1:
         # A one-row matmul takes BLAS's matrix-vector path and rounds otherwise:
@@ -298,7 +292,7 @@ def _attend_at(f_ref, f_src, ref, src, params, k, pixels):
 
     Returns (valid, locations, samples, weights): valid flags each pixel,
     and the others cover the valid ones in order with the bits of
-    transformer_forward's plan and state.
+    transformer_forward's plan and blocks.
     """
     xs, ys = np.asarray(pixels, dtype=np.intp).reshape(-1, 2).T
     valid, locations, corner, blend = _plan_pixels(
@@ -310,6 +304,19 @@ def _attend_at(f_ref, f_src, ref, src, params, k, pixels):
     samples = bilinear_gather(src_flat, f_src.width, corner, blend).reshape(-1, k, c)
     weights = _attend(params, f_ref.data[ys[valid], xs[valid]], samples)[0]
     return valid, locations, samples, weights
+
+
+def _blocks(plan: SamplingPlan, f_src: FeatureMap):
+    """(valid-pixel slice, read slice, (nb, K, C) samples) of each _BLOCK, in plan order."""
+    src_h, src_w = plan.src_hw
+    k, c = plan.k, f_src.channels
+    src_flat = f_src.data.reshape(src_h * src_w, c)
+    n = plan.corner.size // k
+    for lo in range(0, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
+        reads = slice(lo * k, hi * k)
+        samples = bilinear_gather(src_flat, src_w, plan.corner[reads], plan.blend[:, reads])
+        yield slice(lo, hi), reads, samples.reshape(hi - lo, k, c)
 
 
 def transformer_forward(
@@ -328,9 +335,9 @@ def transformer_forward(
     Every pixel is processed independently; skipped pixels (no epipolar
     intersection) keep their reference feature bit for bit. Valid pixels
     are gathered and attended in fixed blocks of _BLOCK, so memory beyond
-    the plan is one block of samples. With record_grad, every block of
-    samples is kept and attended in one call whose intermediates form the
-    state; the fused map has the same bits either way.
+    the plan is one block of samples. With record_grad the state keeps only
+    the plan, the parameters and the two maps (not copied), from which
+    transformer_backward rebuilds each block; the pass is otherwise the same.
     Pass a precomputed plan to amortize the geometry across repeated calls
     with the same cameras, map shapes, and K. _attend_at gives the weights
     of chosen pixels alone, with the same bits.
@@ -353,33 +360,12 @@ def transformer_forward(
         raise ShapeMismatch("sampling plan does not match the map shapes")
 
     h, w = plan.ref_hw
-    src_h, src_w = plan.src_hw
-    k = plan.k
-    valid = plan.valid
-    queries = f_ref.data.reshape(h * w, c)[valid]
-    src_flat = f_src.data.reshape(src_h * src_w, c)
-    n = len(queries)
-
-    def gather(lo: int, hi: int) -> np.ndarray:
-        reads = slice(lo * k, hi * k)
-        block = bilinear_gather(src_flat, src_w, plan.corner[reads], plan.blend[:, reads])
-        return block.reshape(hi - lo, k, c)
-
-    blocks = [(lo, min(lo + _BLOCK, n)) for lo in range(0, n, _BLOCK)]
-    state = None
-    if record_grad:
-        samples = np.empty((n, k, c))
-        for lo, hi in blocks:
-            samples[lo:hi] = gather(lo, hi)
-        weights, out, saved = _attend(params, queries, samples)
-        state = _ForwardState(plan, params, queries, samples, weights, **saved)
-    else:
-        out = np.empty((n, c))
-        for lo, hi in blocks:
-            out[lo:hi] = _attend(params, queries[lo:hi], gather(lo, hi))[1]
-
     fused_flat = f_ref.data.reshape(h * w, c).copy()
-    fused_flat[valid] = out
+    rows = fused_flat[plan.valid]  # queries in, fused rows out, block by block
+    for pixels, _, samples in _blocks(plan, f_src):
+        rows[pixels] = _attend(params, rows[pixels], samples)[1]
+    fused_flat[plan.valid] = rows
+    state = _ForwardState(plan, params, f_ref, f_src) if record_grad else None
     return ForwardResult(fused=FeatureMap(fused_flat.reshape(h, w, c)), state=state)
 
 
@@ -388,10 +374,12 @@ def transformer_backward(state: _ForwardState | None, grad_fused: np.ndarray) ->
 
     grad_fused is dL/d(fused map) as an (H, W, C) array. Returns gradients for
     the reference map, the source map, and every fusion parameter; skipped
-    pixels contribute identity gradients to the reference map only. Bilinear
-    reads scatter back to their four corner pixels through bilinear_scatter,
-    which accumulates in a fixed order, so results are reproducible run to
-    run.
+    pixels contribute identity gradients to the reference map only. Each of
+    the forward's blocks is gathered and attended again, with its bits, and
+    its sample gradients scatter into a channel-major (C, H*W) source map:
+    memory is one block plus a few per-pixel arrays. Per-pixel terms are
+    reduced over all pixels at once; sums over reads (f_src, phi, g) add up
+    block by block in a fixed order, so results repeat run to run.
     """
     if state is None:
         raise StateMissing("forward pass was not run with record_grad=True")
@@ -407,50 +395,64 @@ def transformer_backward(state: _ForwardState | None, grad_fused: np.ndarray) ->
     g_flat = grad_fused.reshape(h * w, c)
     d_ref = g_flat.copy()  # identity path reaches every pixel
     gv = g_flat[plan.valid]
-    queries, samples, weights = state.query, state.samples, state.weights
+    queries = state.f_ref.data.reshape(h * w, c)[plan.valid]
     softmax = params.weight_mode == "softmax"
+    identity = params.variant == "identity"
+    k = plan.k
 
-    # Source gradients ds are channel-major, (C, n*K) in C order, for bilinear_scatter.
-    n, k = weights.shape
-    theta_g = phi_g = g_g = None
-    if params.variant == "identity":
-        da = gv @ params.w_z  # dL/d agg
-        wz_g = np.einsum("nc,nj->cj", gv, state.agg)
-        dw = np.einsum("nkc,nc->nk", samples, da)
-        ds = np.multiply(da.T[:, :, None], weights, out=np.empty((c, n, k)))
+    # Per-pixel terms: dL/d(agg or m), agg or m itself, and the softmax's
+    # reference-side term (dz-weighted samples, or du for the bottleneck).
+    d_pool = gv @ params.w_z if identity else gv @ params.w_z.T
+    pooled = np.empty_like(d_pool)
+    d_query = np.zeros_like(queries if identity else d_pool)
+    # Source gradients: channel-major, (C, nb*K) per block in C order, for bilinear_scatter.
+    d_src = np.zeros((c, src_h * src_w))
+    theta_g, phi_g, g_g = (None,) * 3 if identity else (
+        np.zeros_like(e) for e in (params.theta, params.phi, params.g))
+    for pixels, reads, samples in _blocks(plan, state.f_src):
+        nb = len(samples)
+        q = queries[pixels]
+        weights, _, saved = _attend(params, q, samples)
+        dp = d_pool[pixels]
+        if identity:
+            pooled[pixels] = saved["agg"]
+            dw = np.einsum("nkc,nc->nk", samples, dp)
+            ds = np.multiply(dp.T[:, :, None], weights, out=np.empty((c, nb, k)))
+            if softmax:
+                dz = weights * (dw - np.sum(weights * dw, axis=1, keepdims=True))
+                d_query[pixels] = np.einsum("nk,nkc->nc", dz, samples)
+                ds += np.multiply(q.T[:, :, None], dz, out=np.empty((c, nb, k)))
+        else:
+            pooled[pixels] = saved["m"]
+            flat = samples.reshape(nb * k, c)
+            dh = (weights[:, :, None] * dp[:, None, :]).reshape(nb * k, c // 2)
+            dw = np.einsum("nkd,nd->nk", saved["h_emb"], dp)
+            ds = params.g @ dh.T
+            g_g += flat.T @ dh
+            if softmax:
+                dz = weights * (dw - np.sum(weights * dw, axis=1, keepdims=True))
+                d_query[pixels] = np.einsum("nk,nkd->nd", dz, saved["v"])
+                dv = (dz[:, :, None] * saved["u"][:, None, :]).reshape(nb * k, c // 2)
+                ds += params.phi @ dv.T
+                phi_g += flat.T @ dv
+        bilinear_scatter(ds.reshape(c, nb * k), d_src, src_w,
+                         plan.corner[reads], plan.blend[:, reads])
+
+    if identity:
+        wz_g = np.einsum("nc,nj->cj", gv, pooled)
         if softmax:
-            dz = weights * (dw - np.sum(weights * dw, axis=1, keepdims=True))
-            d_ref[plan.valid] += np.einsum("nk,nkc->nc", dz, samples)
-            ds += np.multiply(queries.T[:, :, None], dz, out=np.empty((c, n, k)))
+            d_ref[plan.valid] += d_query
     else:
-        flat = samples.reshape(n * k, c)
-        dm = gv @ params.w_z.T
-        wz_g = np.einsum("nd,nc->dc", state.m, gv)
-        dh = (weights[:, :, None] * dm[:, None, :]).reshape(n * k, c // 2)
-        dw = np.einsum("nkd,nd->nk", state.h_emb, dm)
-        ds = params.g @ dh.T
-        g_g = flat.T @ dh
-        theta_g = np.zeros_like(params.theta)
-        phi_g = np.zeros_like(params.phi)
+        wz_g = np.einsum("nd,nc->dc", pooled, gv)
         if softmax:
-            dz = weights * (dw - np.sum(weights * dw, axis=1, keepdims=True))
-            du = np.einsum("nk,nkd->nd", dz, state.v)
-            dv = (dz[:, :, None] * state.u[:, None, :]).reshape(n * k, c // 2)
-            d_ref[plan.valid] += du @ params.theta.T
-            theta_g += np.einsum("nc,nd->cd", queries, du)
-            ds += params.phi @ dv.T
-            phi_g += flat.T @ dv
-
-    d_src_flat = bilinear_scatter(
-        ds.reshape(c, n * k), src_h * src_w, src_w, plan.corner, plan.blend
-    )
+            d_ref[plan.valid] += d_query @ params.theta.T
+            theta_g += np.einsum("nc,nd->cd", queries, d_query)
 
     return FusionGradients(
         f_ref=d_ref.reshape(h, w, c),
-        f_src=d_src_flat.reshape(src_h, src_w, c),
+        f_src=np.ascontiguousarray(d_src.T).reshape(src_h, src_w, c),
         w_z=wz_g,
         theta=theta_g,
         phi=phi_g,
         g=g_g,
     )
-

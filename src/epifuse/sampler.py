@@ -263,21 +263,20 @@ def bilinear_gather(
 
 
 def bilinear_scatter(
-    grad: np.ndarray, size: int, width: int, corner: np.ndarray, blend: np.ndarray
-) -> np.ndarray:
-    """Adjoint of bilinear_gather: (size, C) sums of channel-major (C, N) read gradients.
+    grad: np.ndarray, out: np.ndarray, width: int, corner: np.ndarray, blend: np.ndarray
+) -> None:
+    """Adjoint of bilinear_gather: add channel-major (C, N) read gradients into out.
 
-    Each channel, one contiguous row of grad, is one segment sum over the
-    corners in plan order (all top-left corners first, then right, lower,
-    lower-right), so every map pixel adds its contributions in a fixed order.
+    out is a channel-major (C, H*W) map. Each channel, one contiguous row of
+    grad, is one segment sum over the corners in plan order (all top-left
+    corners first, then right, lower, lower-right), added to out's row in
+    place, so every map pixel adds its contributions in a fixed order.
     """
     index = _corner_index(corner, width).ravel()
     weighted = np.empty_like(blend)
-    out = np.empty((size, len(grad)))
-    for ch, row in enumerate(grad):
+    for row, acc in zip(grad, out):
         np.multiply(blend, row, out=weighted)
-        out[:, ch] = np.bincount(index, weighted.ravel(), minlength=size)
-    return out
+        acc += np.bincount(index, weighted.ravel(), minlength=len(acc))
 
 
 def bilinear_many(fmap: FeatureMap, points: np.ndarray) -> np.ndarray:

@@ -732,11 +732,11 @@ def gradient_check(
 
     plan = plan_epipolar_sampling(cam_r, cam_s, (height, width), (height, width), k)
 
-    def loss(ref_data: np.ndarray, src_data: np.ndarray, prm: FusionParams) -> float:
+    def loss(ref_data: np.ndarray, src_data: np.ndarray, prm: FusionParams, axis=None):
         result: ForwardResult = transformer_forward(
             FeatureMap(ref_data), FeatureMap(src_data), cam_r, cam_s, prm, k, plan=plan
         )
-        return float(np.sum(upstream * result.fused.data))
+        return np.sum(upstream * result.fused.data, axis=axis)
 
     result = transformer_forward(
         FeatureMap(f_ref), FeatureMap(f_src), cam_r, cam_s, params, k,
@@ -744,22 +744,29 @@ def gradient_check(
     )
     grads = transformer_backward(result.state, upstream)
 
-    checks: list[tuple[np.ndarray, np.ndarray, object]] = [
-        (f_ref, grads.f_ref, lambda a: loss(a, f_src, params)),
-        (f_src, grads.f_src, lambda a: loss(f_ref, a, params)),
-    ]
+    # Fused pixel p reads f_ref only at p (its query, or its pass-through when
+    # skipped). So moving one f_ref channel at every pixel at once moves each
+    # pixel's own loss term upstream[p] . fused[p] by that pixel's entry of
+    # the gradient alone: one pair of forwards checks a whole channel.
+    numeric = np.empty_like(f_ref)
+    for ch in range(channels):
+        work = f_ref.copy()
+        work[:, :, ch] += step
+        hi = loss(work, f_src, params, axis=2)
+        work[:, :, ch] = f_ref[:, :, ch] - step
+        numeric[:, :, ch] = (hi - loss(work, f_src, params, axis=2)) / (2.0 * step)
+    pairs = [(grads.f_ref, numeric)]
+
     names = ("w_z",) if variant == "identity" else ("w_z", "theta", "phi", "g")
-    checks += [
+    checks = [(f_src, grads.f_src, lambda a: loss(f_ref, a, params))] + [
         (getattr(params, name), getattr(grads, name),
          lambda a, name=name: loss(f_ref, f_src, replace(params, **{name: a})))
         for name in names
     ]
-
-    worst = 0.0
-    entries = 0
     for base, analytic, evaluate in checks:
         work = np.array(base, dtype=np.float64)
         flat = work.ravel()
+        numeric = np.empty(flat.size)
         for idx in range(flat.size):
             original = flat[idx]
             flat[idx] = original + step
@@ -767,9 +774,11 @@ def gradient_check(
             flat[idx] = original - step
             lo = evaluate(work)
             flat[idx] = original
-            numeric = (hi - lo) / (2.0 * step)
-            a = float(analytic.ravel()[idx])
-            rel = abs(a - numeric) / max(1.0, abs(a), abs(numeric))
-            worst = max(worst, rel)
-            entries += 1
-    return GradCheckResult(max_rel_error=worst, entries=entries, tolerance=tolerance)
+            numeric[idx] = (hi - lo) / (2.0 * step)
+        pairs.append((analytic, numeric))
+
+    analytic = np.concatenate([a.ravel() for a, _ in pairs])
+    numeric = np.concatenate([n.ravel() for _, n in pairs])
+    scale = np.maximum(np.maximum(1.0, np.abs(analytic)), np.abs(numeric))
+    rel = np.abs(analytic - numeric) / scale
+    return GradCheckResult(max_rel_error=float(np.max(rel)), entries=rel.size, tolerance=tolerance)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from epifuse.fusion import _attend, _batch_weights
+from epifuse.fusion import _BLOCK, _attend, _batch_weights
 from epifuse.geometry import CameraView, project
 
 
@@ -140,7 +140,10 @@ def gather_all_samples(plan, src_data) -> np.ndarray:
 
 
 def unblocked_forward(f_ref, f_src, params, plan, attend=_attend) -> tuple[np.ndarray, dict]:
-    """Fused (H, W, C) map and the _ForwardState arrays, keyed by field name.
+    """Fused (H, W, C) map and the attention arrays of all valid pixels, keyed by name.
+
+    The arrays are the queries, samples and weights, and the intermediates
+    that attend saves (see fusion._attend).
 
     Like the library, attends a lone row as a pair: a one-row matmul takes
     BLAS's matrix-vector path, which rounds otherwise.
@@ -230,7 +233,15 @@ def einsum_backward(plan, params, state, grad_fused) -> dict:
             grads["theta"] += np.einsum("nc,nd->cd", queries, du)
             ds += np.einsum("nkd,cd->nkc", dv, params.phi)
             grads["phi"] += np.einsum("nkc,nkd->cd", samples, dv)
-    d_src = add_at_scatter(ds.reshape(-1, c).T, src_h * src_w, src_w, plan.corner, plan.blend)
+    # The library adds each _BLOCK of pixels' reads into the source gradient
+    # in turn; summing the same blocks in the same order keeps its bits.
+    ds = ds.reshape(-1, c).T
+    d_src = np.zeros((src_h * src_w, c))
+    step = _BLOCK * plan.k
+    for lo in range(0, ds.shape[1], step):
+        reads = slice(lo, lo + step)
+        d_src += add_at_scatter(ds[:, reads], src_h * src_w, src_w,
+                                plan.corner[reads], plan.blend[:, reads])
     grads["f_ref"] = d_ref.reshape(h, w, c)
     grads["f_src"] = d_src.reshape(src_h, src_w, c)
     return grads

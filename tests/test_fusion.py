@@ -244,13 +244,14 @@ class TestTransformerForward:
         out = transformer_forward(f_ref, f_src, ref, src, params, k=8, record_grad=True)
         plan = out.state.plan
         assert plan.valid.any()
+        _, state = unblocked_forward(f_ref, f_src, params, plan)
         ys, xs = np.nonzero(plan.valid.reshape(8, 8))
         for i, (y, x) in enumerate(list(zip(ys, xs))[:12]):
             sample_set = epipolar_samples(f_src, ref, src, (float(x), float(y)), k=8)
             assert sample_set is not None
-            assert np.allclose(out.state.samples[i], sample_set.features, atol=1e-9)
+            assert np.allclose(state["samples"][i], sample_set.features, atol=1e-9)
             w = similarity_weights(f_ref.data[y, x], sample_set.features)
-            assert np.allclose(out.state.weights[i], w, atol=1e-12)
+            assert np.allclose(state["weights"][i], w, atol=1e-12)
 
     def test_fused_pixel_matches_single_pixel_path(self):
         ref, src, f_ref, f_src = self.rect_setup(seed=7)
@@ -366,26 +367,25 @@ class TestBlockedForward:
             f_ref, f_src, ref, src, params, self.K,
             plan=plan, record_grad=True,
         )
-        want_fused, want_state = unblocked_forward(f_ref, f_src, params, plan)
+        want_fused, _ = unblocked_forward(f_ref, f_src, params, plan)
         assert same_bits(out.fused.data, want_fused)
         unrecorded = transformer_forward(f_ref, f_src, ref, src, params, self.K, plan=plan)
         assert same_bits(unrecorded.fused.data, want_fused)
 
-        for field in dataclasses.fields(_ForwardState):
-            if field.name in ("plan", "params"):
-                continue
-            got = getattr(out.state, field.name)
-            if field.name in want_state:
-                assert same_bits(got, want_state[field.name]), field.name
-            else:
-                assert got is None, field.name
+        # The state is what rebuilds any block, held by reference: no copies.
+        kept = {field.name: getattr(out.state, field.name)
+                for field in dataclasses.fields(_ForwardState)}
+        assert kept.keys() == {"plan", "params", "f_ref", "f_src"}
+        want = {"plan": plan, "params": params, "f_ref": f_ref, "f_src": f_src}
+        for name, value in want.items():
+            assert kept[name] is value, name
 
     @pytest.mark.parametrize("variant", ["identity", "bottleneck"])
     @pytest.mark.parametrize("mode", ["softmax", "max"])
     def test_recorded_equals_unrecorded_at_train_size(self, big_pair, variant, mode):
-        # The recorded pass attends all 160x160 pixels in one call and the
-        # unrecorded one in blocks; their fused maps must share every bit.
-        # The unblocked oracle's gathers would take about 1 GB at this size.
+        # Recording must not change a bit of the fused map at the size the
+        # benchmark trains at. The unblocked oracle's gathers would take
+        # about 1 GB here.
         ref, src, f_ref, f_src, plan = big_pair
         params = make_params(variant, mode, 16, seed=23)
         fused = [
@@ -400,8 +400,13 @@ class TestBlockedForward:
         *_, full_plan = pair
         plan = first_valid(full_plan, n_valid)
         grad = np.random.default_rng(n_valid).standard_normal((self.C, plan.corner.size))
-        got = bilinear_scatter(grad, 32 * 32, 32, plan.corner, plan.blend)
-        assert same_bits(got, add_at_scatter(grad, 32 * 32, 32, plan.corner, plan.blend))
+        want = add_at_scatter(grad, 32 * 32, 32, plan.corner, plan.blend)
+        got = np.zeros((self.C, 32 * 32))
+        bilinear_scatter(grad, got, 32, plan.corner, plan.blend)
+        assert same_bits(got.T.copy(), want)
+        # Adding into a map already holding the sums doubles it exactly.
+        bilinear_scatter(grad, got, 32, plan.corner, plan.blend)
+        assert same_bits(got.T.copy(), want + want)
 
     def test_forward_memory_is_plan_plus_one_block(self, big_pair):
         # 160x160, K=64, C=16: all samples at once would take 200 MB. The
@@ -417,11 +422,30 @@ class TestBlockedForward:
             tracemalloc.stop()
         assert peak < 64e6
 
-    @pytest.mark.parametrize("variant, bound", [("identity", 470e6), ("bottleneck", 665e6)])
+    @pytest.mark.parametrize("variant", ["identity", "bottleneck"])
+    def test_recorded_forward_memory_is_plan_plus_one_block(self, big_pair, variant):
+        # Recording keeps no samples or intermediates (442 MB for the
+        # bottleneck here when it did), so the same bound holds.
+        ref, src, f_ref, f_src, plan = big_pair
+        params = make_params(variant, "softmax", 16, seed=23)
+        tracemalloc.start()
+        try:
+            out = transformer_forward(f_ref, f_src, ref, src, params, 64,
+                                      plan=plan, record_grad=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.state is not None
+        assert peak < 64e6
+
+    @pytest.mark.parametrize("variant, bound", [("identity", 34e6), ("bottleneck", 32e6)],
+                             ids=["identity", "bottleneck"])
     def test_backward_memory(self, big_pair, variant, bound):
-        # The (C, n, K) source gradient ds is 202 MB here. The bounds sit just
-        # above the backward's peaks at this size (453 and 642 MB), so one more
-        # copy of ds, a transposed or a non-C-ordered one, does not fit.
+        # The backward holds seven per-pixel arrays of about 3 MB (C=16, or
+        # 1.6 MB at C/2), the (C, H*W) source gradient, and one block: a 4 MB
+        # gather and its 1 MB (C, nb, K) ds. The bounds sit just above the
+        # peaks at this size (32.3 and 30.6 MB), so one more per-pixel array,
+        # or any (n, K, C) one (210 MB), does not fit.
         ref, src, f_ref, f_src, plan = big_pair
         params = make_params(variant, "softmax", 16, seed=23)
         state = transformer_forward(f_ref, f_src, ref, src, params, 64,
@@ -488,10 +512,12 @@ class TestEinsumOracle:
 
         want_fused, want_state = unblocked_forward(f_ref, f_src, params, plan, einsum_attend)
         want_grads = einsum_backward(plan, params, want_state, upstream)
+        _, got_state = unblocked_forward(f_ref, f_src, params, plan)
         same = same_bits if variant == "identity" else rel_close
         assert same(out.fused.data, want_fused)
+        assert got_state.keys() == want_state.keys()
         for name, value in want_state.items():
-            assert same(getattr(out.state, name), value), name
+            assert same(got_state[name], value), name
         for name, value in want_grads.items():
             assert same(getattr(grads, name), value), name
 
@@ -570,9 +596,10 @@ class TestAttendAt:
         if n_valid is not None:
             plan = first_valid(plan, n_valid)
         params = make_params(variant, mode, PAIR_C, seed=21)
-        state = transformer_forward(
-            f_ref, f_src, ref, src, params, PAIR_K, plan=plan, record_grad=True
-        ).state
+        fused, state = unblocked_forward(f_ref, f_src, params, plan)
+        assert same_bits(fused, transformer_forward(
+            f_ref, f_src, ref, src, params, PAIR_K, plan=plan
+        ).fused.data)
         valid, locations, samples, weights = _attend_at(
             f_ref, f_src, ref, src, params, PAIR_K, pixels
         )
@@ -580,8 +607,8 @@ class TestAttendAt:
         assert same_bits(valid, plan.valid[flat])
         rows = (np.cumsum(plan.valid) - 1)[flat[valid]]
         assert same_bits(locations, dense_locations(ref, src, (32, 32), PAIR_K)[rows])
-        assert same_bits(samples, state.samples[rows])
-        assert same_bits(weights, state.weights[rows])
+        assert same_bits(samples, state["samples"][rows])
+        assert same_bits(weights, state["weights"][rows])
 
 
 class TestParamsValidation:
