@@ -32,7 +32,7 @@ from .errors import (
     NoConsensus,
 )
 from .geometry import load_rig_file, rig_to_json
-from .metrics import jdr, load_pose_csv, save_pose_csv
+from .metrics import jdr, load_pose_csv, mpjpe, save_pose_csv
 from .sampler import save_feature_map
 from .synth import (
     ScenarioConfig,
@@ -203,14 +203,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
     gt_ids, gt, _ = load_pose_csv(args.gt)
     if len(pred_ids) != len(gt_ids):
         raise LengthMismatch(f"pred has {len(pred_ids)} rows, gt has {len(gt_ids)}")
-    if pred.shape[1] != gt.shape[1]:
-        raise LengthMismatch(f"pred is {pred.shape[1]}D, gt is {gt.shape[1]}D")
     for row, (a, b) in enumerate(zip(pred_ids, gt_ids), start=2):
         if a != b:
             raise LengthMismatch(f"joint id mismatch at row {row}: {a} vs {b}")
-    errors = np.linalg.norm(pred - gt, axis=1)
     out = {
-        "mpjpe_mm": float(np.mean(errors)),
+        "mpjpe_mm": mpjpe(pred, gt),
         "jdr_pct": jdr(pred, gt, args.head_size),
     }
     text = json.dumps(out, indent=2, sort_keys=True) + "\n"

@@ -62,10 +62,6 @@ class NoConsensus(EpifuseError):
 
 # -- metrics ----------------------------------------------------------------
 
-class MaskMismatch(EpifuseError):
-    """Pose validity masks (or joint counts) disagree."""
-
-
 class LengthMismatch(EpifuseError):
     """Per-joint sequences disagree in length."""
 

@@ -8,35 +8,12 @@ MSE-trained heatmap regressors.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, LengthMismatch, MaskMismatch
-
-
-@dataclass(frozen=True, eq=False)
-class Pose3D:
-    """Per-joint 3D points (mm) with a validity mask."""
-
-    points: np.ndarray  # (J, 3)
-    valid: np.ndarray  # (J,) bool
-
-    def __post_init__(self) -> None:
-        pts = np.asarray(self.points, dtype=np.float64)
-        valid = np.asarray(self.valid, dtype=bool)
-        if pts.ndim != 2 or pts.shape[1] != 3:
-            raise ValueError("points must be (J, 3)")
-        if valid.shape != (pts.shape[0],):
-            raise ValueError("valid mask must be (J,)")
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "valid", valid)
-
-    @property
-    def joints(self) -> int:
-        return self.points.shape[0]
+from .errors import ConfigError, LengthMismatch
 
 
 def argmax_peak(heatmap: np.ndarray) -> tuple[tuple[float, float], float]:
@@ -63,16 +40,15 @@ def argmax_peak(heatmap: np.ndarray) -> tuple[tuple[float, float], float]:
     return (xr, yr), confidence
 
 
-def mpjpe(pred: Pose3D, gt: Pose3D) -> float:
-    """Mean Euclidean distance (mm) over the jointly valid joints."""
-    if pred.joints != gt.joints:
-        raise MaskMismatch(f"joint counts differ: {pred.joints} vs {gt.joints}")
-    if not np.array_equal(pred.valid, gt.valid):
-        raise MaskMismatch("validity masks differ")
-    if not np.any(pred.valid):
-        raise ValueError("no valid joints to average over")
-    d = np.linalg.norm(pred.points[pred.valid] - gt.points[gt.valid], axis=1)
-    return float(np.mean(d))
+def mpjpe(pred: np.ndarray, gt: np.ndarray) -> float:
+    """Mean Euclidean distance between two (J, D) point sets, row by row."""
+    pred = np.asarray(pred, dtype=np.float64)
+    gt = np.asarray(gt, dtype=np.float64)
+    if pred.ndim != 2 or pred.shape != gt.shape:
+        raise LengthMismatch(f"pose shapes differ: {pred.shape} vs {gt.shape}")
+    if not len(pred):
+        raise ValueError("no joints to average over")
+    return float(np.mean(np.linalg.norm(pred - gt, axis=1)))
 
 
 def jdr(

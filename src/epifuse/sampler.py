@@ -250,15 +250,19 @@ def bilinear_gather(
 ) -> np.ndarray:
     """(N, C) bilinear reads of a row-major (H*W, C) map from a bilinear_plan.
 
-    One gather of the four stacked corners, blended in place in the fixed
-    order w00*a + w10*b + w01*c + w11*d.
+    The top-left corners are gathered straight into the result and the other
+    three into one stack, then blended in place in the fixed order
+    w00*a + w10*b + w01*c + w11*d. The result owns its memory, so it keeps
+    no corner stack alive, and no pass over it is spent on a copy.
     """
-    g = np.take(flat, _corner_index(corner, width), axis=0)
-    g *= blend[:, :, None]
-    s = g[0]
+    index = _corner_index(corner, width)
+    s = np.take(flat, index[0], axis=0)
+    s *= blend[0][:, None]
+    g = np.take(flat, index[1:], axis=0)
+    g *= blend[1:, :, None]
+    s += g[0]
     s += g[1]
     s += g[2]
-    s += g[3]
     return s
 
 

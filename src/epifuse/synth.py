@@ -46,7 +46,7 @@ from .fusion import (
     transformer_forward,
 )
 from .geometry import PROJECTION_W, CameraView, camera_at_resolution
-from .metrics import Pose3D, argmax_peak, jdr, mpjpe
+from .metrics import argmax_peak, jdr, mpjpe
 from .sampler import FeatureMap, sample_parameters
 from .triangulation import Observation, ransac_triangulate
 
@@ -192,14 +192,28 @@ def render_descriptor_map(
     xs = np.arange(mw, dtype=np.float64)
     ys = np.arange(mh, dtype=np.float64)
     inv = 1.0 / (2.0 * sigma_px * sigma_px)
-    for joint, desc in zip(scene.joints, scene.descriptors):
-        q = cam_m.M @ np.array([joint[0], joint[1], joint[2], 1.0])
-        if q[2] <= PROJECTION_W:
+    for (px, py), desc in zip(_project_joints(cam_m, scene.joints), scene.descriptors):
+        if np.isnan(px):
             continue
-        px, py = q[0] / q[2], q[1] / q[2]
         blob = np.exp(-((xs[None, :] - px) ** 2 + (ys[:, None] - py) ** 2) * inv)
         data += blob[:, :, None] * desc[None, None, :]
     return FeatureMap(data)
+
+
+def _project_joints(cam: CameraView, joints: np.ndarray) -> np.ndarray:
+    """(J, 2) pixel projections, NaN for joints at or behind the principal plane."""
+    proj = np.full((len(joints), 2), np.nan)
+    for j, joint in enumerate(joints):
+        q = cam.M @ np.append(joint, 1.0)
+        if q[2] > PROJECTION_W:
+            proj[j] = q[:2] / q[2]
+    return proj
+
+
+def _inside(p: np.ndarray, width: int, height: int) -> np.ndarray:
+    """Whether (..., 2) points lie in [0, W-1] x [0, H-1]; False for NaN."""
+    x, y = p[..., 0], p[..., 1]
+    return (0.0 <= x) & (x <= width - 1) & (0.0 <= y) & (y <= height - 1)
 
 
 def _camera_at_map_resolution(
@@ -284,16 +298,8 @@ def run_pipeline(
     s_heat, s_analytic, s_ransac_heat, s_ransac_analytic = entropy.spawn(4)
 
     # True projections and visibility at map resolution.
-    proj = np.full((n_views, n_joints, 2), np.nan)
-    visible = np.zeros((n_views, n_joints), dtype=bool)
-    for r in range(n_views):
-        for j in range(n_joints):
-            q = cams_m[r].M @ np.append(scene.joints[j], 1.0)
-            if q[2] <= PROJECTION_W:
-                continue
-            p = q[:2] / q[2]
-            proj[r, j] = p
-            visible[r, j] = (0.0 <= p[0] <= mw - 1) and (0.0 <= p[1] <= mh - 1)
+    proj = np.stack([_project_joints(cam, scene.joints) for cam in cams_m])
+    visible = _inside(proj, mw, mh)
 
     maps = _ordered_map(
         lambda cam: render_descriptor_map(cam, scene, sigma_px, (mw, mh)), cams, threads
@@ -330,8 +336,10 @@ def run_pipeline(
         s_ransac_analytic,
     )
 
-    mpjpe_mm = _masked_mpjpe(heat_points, heat_valid, scene.joints)
-    analytic_mpjpe_mm = _masked_mpjpe(ana_points, ana_valid, scene.joints)
+    mpjpe_mm, analytic_mpjpe_mm = (
+        mpjpe(points[valid], scene.joints[valid]) if np.any(valid) else None
+        for points, valid in ((heat_points, heat_valid), (ana_points, ana_valid))
+    )
 
     vis_idx = np.argwhere(visible)
     if len(vis_idx):
@@ -412,14 +420,6 @@ def _triangulate_joints(
         valid[j] = True
         inliers[j] = int(np.sum(result.inliers))
     return points, valid, inliers
-
-
-def _masked_mpjpe(points, valid, gt_joints) -> float | None:
-    if not np.any(valid):
-        return None
-    pred = Pose3D(points=points, valid=valid)
-    gt = Pose3D(points=gt_joints, valid=valid)
-    return mpjpe(pred, gt)
 
 
 def _query_pixel(p: np.ndarray, width: int, height: int) -> tuple[int, int]:
@@ -509,6 +509,9 @@ class ScenarioConfig:
             ("focal_px", 0 < self.focal_px < np.inf, "positive and finite"),
             ("extent_mm", 0 < self.extent_mm < np.inf, "positive and finite"),
             ("target_angle_deg", 0 <= self.target_angle_deg <= 180, "in [0, 180]"),
+            ("angle_deg", 0 < self.angle_deg < 180, "in (0, 180)"),
+            ("angle_deg", self.cameras * self.angle_deg <= 360 + 1e-9,
+             "at most 360 / cameras, so the rig does not wrap past a full circle"),
             ("K", self.k >= 1, "at least 1"), ("sigma_px", self.sigma_px > 0, "positive"),
             ("ransac_iterations", self.ransac_iterations >= 1, "at least 1"),
             ("ransac_threshold_px", self.ransac_threshold_px > 0, "positive"),
@@ -644,11 +647,8 @@ def similarity_profile(
     map_r = render_descriptor_map(rig.cameras[ref_view], scene, config.sigma_px, config.map_wh)
     map_s = render_descriptor_map(rig.cameras[src_view], scene, config.sigma_px, config.map_wh)
 
-    q = cam_r.M @ np.append(scene.joints[joint], 1.0)
-    if q[2] <= PROJECTION_W:
-        return None
-    p = q[:2] / q[2]
-    if not (0.0 <= p[0] <= cam_r.width - 1 and 0.0 <= p[1] <= cam_r.height - 1):
+    p = _project_joints(cam_r, scene.joints[joint : joint + 1])[0]
+    if not _inside(p, cam_r.width, cam_r.height):
         return None
     qx, qy = _query_pixel(p, cam_r.width, cam_r.height)
     valid, locations, samples, weights = _attend_at(
@@ -663,17 +663,7 @@ def similarity_profile(
 
 
 def report_to_dict(report: PipelineReport, config: ScenarioConfig | None = None) -> dict:
-    out = {
-        "views": report.views,
-        "joints": report.joints,
-        "k": report.k,
-        "noise_px": report.noise_px,
-        "mpjpe_mm": report.mpjpe_mm,
-        "analytic_mpjpe_mm": report.analytic_mpjpe_mm,
-        "jdr_pct": report.jdr_pct,
-        "matching_accuracy": report.matching_accuracy,
-        "per_joint": [asdict(j) for j in report.per_joint],
-    }
+    out = asdict(report)
     if config is not None:
         out["config"] = scenario_to_dict(config)
     return out

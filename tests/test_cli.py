@@ -5,7 +5,7 @@ import pytest
 
 from epifuse.cli import main
 from epifuse.geometry import load_rig_file, project
-from epifuse.metrics import jdr, load_pose_csv, save_pose_csv
+from epifuse.metrics import jdr, load_pose_csv, mpjpe, save_pose_csv
 from epifuse.sampler import load_feature_map
 from epifuse.synth import ScenarioConfig, scenario_to_dict, similarity_profile
 from epifuse.triangulation import (
@@ -94,14 +94,6 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "camerasz" in capsys.readouterr().err
 
-    def test_zero_angle_exits_3(self, tmp_path, capsys):
-        bad = dict(SMALL_DICT)
-        bad["angle_deg"] = 0.0
-        cfg = tmp_path / "zero.json"
-        cfg.write_text(json.dumps(bad))
-        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
-        assert "angle" in capsys.readouterr().err.lower()
-
     @pytest.mark.parametrize("key, bad", [
         ("K", {"K": 0}), ("ransac_iterations", {"ransac_iterations": 0}),
         ("ransac_threshold_px", {"ransac_threshold_px": 0}), ("sigma_px", {"sigma_px": -1}),
@@ -115,6 +107,9 @@ class TestRun:
         ("extent_mm", {"extent_mm": 0}), ("focal_px", {"focal_px": float("inf")}),
         ("target_angle_deg", {"target_angle_deg": float("nan")}),
         ("target_angle_deg", {"target_angle_deg": 181}),
+        ("angle_deg", {"angle_deg": 0.0}), ("angle_deg", {"angle_deg": 200.0}),
+        ("angle_deg", {"cameras": 10, "angle_deg": 40.0}),
+        ("angle_deg", {"angle_deg": float("nan")}),
     ])
     def test_out_of_range_exits_2_before_any_file(self, tmp_path, capsys, key, bad):
         cfg = tmp_path / "bad.json"
@@ -347,7 +342,7 @@ class TestEval:
         report = json.loads(out.read_text())
         # Oracle: the metrics module on the same arrays. The CSV stores
         # exact reprs, so the numbers agree bitwise.
-        want_mpjpe = float(np.mean(np.linalg.norm(pred_pts - gt_pts, axis=1)))
+        want_mpjpe = mpjpe(pred_pts, gt_pts)
         want_jdr = jdr(pred_pts, gt_pts, 10.0)
         assert report["mpjpe_mm"] == want_mpjpe
         assert report["jdr_pct"] == want_jdr
@@ -358,6 +353,13 @@ class TestEval:
         self.write_pose(gt, np.zeros((2, 3)))
         assert main(["eval", "--pred", str(pred), "--gt", str(gt)]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_dimension_mismatch_exits_2(self, tmp_path, capsys):
+        pred, gt = tmp_path / "pred.csv", tmp_path / "gt.csv"
+        self.write_pose(pred, np.zeros((2, 2)))
+        self.write_pose(gt, np.zeros((2, 3)))
+        assert main(["eval", "--pred", str(pred), "--gt", str(gt)]) == 2
+        assert "shapes differ" in capsys.readouterr().err
 
     def test_joint_id_mismatch_exits_2(self, tmp_path, capsys):
         pred, gt = tmp_path / "pred.csv", tmp_path / "gt.csv"

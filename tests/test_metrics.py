@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epifuse.errors import ConfigError, LengthMismatch, MaskMismatch
+from epifuse.errors import ConfigError, LengthMismatch
 from epifuse.metrics import (
-    Pose3D,
     argmax_peak,
     jdr,
     load_pose_csv,
@@ -56,57 +55,48 @@ class TestArgmaxPeak:
             argmax_peak(np.zeros((4, 4, 2)))
 
 
-def pose3(points, valid=None):
-    points = np.asarray(points, dtype=np.float64)
-    if valid is None:
-        valid = np.ones(len(points), dtype=bool)
-    return Pose3D(points, np.asarray(valid, dtype=bool))
-
-
 class TestMpjpe:
     def test_identical_is_zero(self):
-        p = pose3([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        p = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
         assert mpjpe(p, p) == 0.0
 
     def test_oracle(self):
-        gt = pose3([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0]])
-        pred = pose3([[3.0, 4.0, 0.0], [10.0, 0.0, 5.0]])
+        gt = np.array([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0]])
+        pred = np.array([[3.0, 4.0, 0.0], [10.0, 0.0, 5.0]])
         assert abs(mpjpe(pred, gt) - (5.0 + 5.0) / 2.0) < 1e-12
 
     def test_invalid_joints_excluded(self):
-        gt = pose3([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]], valid=[True, False])
-        pred = pose3([[2.0, 0.0, 0.0], [999.0, 0.0, 0.0]], valid=[True, False])
-        assert mpjpe(pred, gt) == 2.0
-
-    def test_mask_must_match(self):
-        gt = pose3(np.zeros((2, 3)), valid=[True, True])
-        pred = pose3(np.zeros((2, 3)), valid=[True, False])
-        with pytest.raises(MaskMismatch):
-            mpjpe(pred, gt)
+        # Callers average over the valid rows only.
+        gt = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+        pred = np.array([[2.0, 0.0, 0.0], [999.0, 0.0, 0.0]])
+        valid = np.array([True, False])
+        assert mpjpe(pred[valid], gt[valid]) == 2.0
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(1)
-        gt = pose3(rng.standard_normal((6, 3)))
-        pred = pose3(gt.points + rng.standard_normal((6, 3)) * 0.1)
+        gt = rng.standard_normal((6, 3))
+        pred = gt + rng.standard_normal((6, 3)) * 0.1
         t = np.array([100.0, -50.0, 7.0])
-        shifted = mpjpe(pose3(pred.points + t), pose3(gt.points + t))
-        assert abs(shifted - mpjpe(pred, gt)) < 1e-9
+        assert abs(mpjpe(pred + t, gt + t) - mpjpe(pred, gt)) < 1e-9
 
     def test_scales_linearly(self):
         rng = np.random.default_rng(2)
-        gt = pose3(rng.standard_normal((5, 3)))
-        pred = pose3(gt.points + rng.standard_normal((5, 3)))
-        assert abs(mpjpe(pose3(3.0 * pred.points), pose3(3.0 * gt.points))
-                   - 3.0 * mpjpe(pred, gt)) < 1e-9
+        gt = rng.standard_normal((5, 3))
+        pred = gt + rng.standard_normal((5, 3))
+        assert abs(mpjpe(3.0 * pred, 3.0 * gt) - 3.0 * mpjpe(pred, gt)) < 1e-9
+
+    def test_accepts_2d_points(self):
+        assert mpjpe(np.array([[3.0, 4.0]]), np.zeros((1, 2))) == 5.0
 
     def test_joint_count_mismatch(self):
-        with pytest.raises(MaskMismatch):
-            mpjpe(pose3(np.zeros((3, 3))), pose3(np.zeros((4, 3))))
+        with pytest.raises(LengthMismatch, match="differ"):
+            mpjpe(np.zeros((3, 3)), np.zeros((4, 3)))
+        with pytest.raises(LengthMismatch, match="differ"):
+            mpjpe(np.zeros((3, 2)), np.zeros((3, 3)))
 
     def test_no_valid_joints(self):
-        p = pose3(np.zeros((2, 3)), valid=[False, False])
         with pytest.raises(ValueError):
-            mpjpe(p, p)
+            mpjpe(np.zeros((0, 3)), np.zeros((0, 3)))
 
 
 class TestJdr:

@@ -22,6 +22,7 @@ from epifuse.sampler import (
     EpipolarSampleSet,
     FeatureMap,
     Segment2D,
+    bilinear_gather,
     bilinear_plan,
     bilinear_sample,
     clip_line_to_image,
@@ -270,6 +271,19 @@ class TestBilinear:
         fmap = FeatureMap(rng.standard_normal((4, 4, 2)))
         assert np.array_equal(bilinear_sample(fmap, (-1.0, 1.0)), fmap.data[1, 0])
         assert np.array_equal(bilinear_sample(fmap, (5.0, 3.5)), fmap.data[3, 3])
+
+    def test_gather_owns_its_reads(self):
+        # The reads own their memory, not a view that keeps a gathered corner
+        # stack alive, and they keep the w00, w10, w01, w11 blend order.
+        rng = np.random.default_rng(4)
+        h, w, c = 9, 11, 5
+        flat = rng.standard_normal((h * w, c))
+        corner, blend = bilinear_plan(h, w, rng.uniform(-1.0, 12.0, size=(50, 2)))
+        got = bilinear_gather(flat, w, corner, blend)
+        assert got.shape == (50, c) and got.base is None and got.flags.owndata
+        a, b, d, e = (flat[corner + off] * blend[i][:, None]
+                      for i, off in enumerate((0, 1, w, w + 1)))
+        assert got.tobytes() == (((a + b) + d) + e).tobytes()
 
 
 class TestEpipolarSamples:

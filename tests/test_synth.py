@@ -172,6 +172,63 @@ class TestRenderDescriptorMap:
         fmap = render_descriptor_map(rig.cameras[0], scene, sigma_px=2.0, map_wh=32)
         assert fmap.data.shape == (32, 32, 8)
 
+    @pytest.mark.parametrize("map_wh", [None, 20])
+    def test_maps_hold_no_negative_zero(self, map_wh):
+        # A wide scene in a narrow view: joints far off the map (or behind a
+        # camera) leave pixels exactly zero, where an underflowed tail meets
+        # negative descriptor entries. Those zeros must all be +0.0.
+        zeros = 0
+        for seed in range(4):
+            for joints in (1, 6):
+                cfg = replace(SMALL, joints=joints, extent_mm=2000.0, focal_px=120.0,
+                              image_wh=32, seed=seed, map_wh=map_wh)
+                rig, scene, _, _ = build_scenario(cfg)
+                for cam in rig.cameras:
+                    d = render_descriptor_map(cam, scene, cfg.sigma_px, map_wh).data
+                    assert not np.any(np.signbit(d) & (d == 0.0))
+                    zeros += np.count_nonzero(d == 0.0)
+        assert zeros > 0
+
+
+class TestProjectionRule:
+    """A joint behind a camera is absent from that view everywhere.
+
+    Joint 0 sits on camera 0's optical axis just behind it, so dropping the
+    depth test would put it at camera 0's principal point, inside the map.
+    The opposite camera 2 sees it; joint 1 near the origin is seen by all.
+    """
+
+    def rig_scene_params(self):
+        rig = make_rig(4, 90.0, 1000.0, (48, 48), 40.0, seed=5)
+        behind = 1.05 * center3(rig.cameras[0])
+        joints = np.stack([behind, np.array([10.0, -20.0, 15.0])])
+        scene = Scene(joints=joints, descriptors=make_scene(2, 100.0, 8, seed=6).descriptors)
+        q = rig.cameras[0].M @ np.append(behind, 1.0)
+        assert q[2] < 0.0 and np.all((0.0 <= q[:2] / q[2]) & (q[:2] / q[2] <= 47.0))
+        return rig, scene, FusionParams.initialize("identity", "softmax", 8, 7)
+
+    def test_render_leaves_it_out(self):
+        rig, scene, _ = self.rig_scene_params()
+        cam = rig.cameras[0]
+        both = render_descriptor_map(cam, scene).data
+        alone = render_descriptor_map(cam, Scene(scene.joints[1:], scene.descriptors[1:])).data
+        assert both.any() and both.tobytes() == alone.tobytes()
+
+    def test_observed_views_exclude_it(self):
+        rig, scene, params = self.rig_scene_params()
+        report = run_pipeline(rig, scene, params, k=16, seed=0, ransac_iterations=25)
+        assert [o.observed_views for o in report.per_joint] == [1, 4]
+        assert report.per_joint[0].error_mm is None
+
+    def test_similarity_profile_is_none(self, monkeypatch):
+        rig, scene, params = self.rig_scene_params()
+        cfg = replace(SMALL, angle_deg=90.0, image_wh=48, focal_px=40.0)
+        monkeypatch.setattr(
+            synth, "build_scenario", lambda config: (rig, scene, params, None)
+        )
+        assert similarity_profile(cfg, 0, 1, 0) is None
+        assert similarity_profile(cfg, 0, 1, 1) is not None
+
 
 class TestRunPipeline:
     def small_setup(self):
@@ -310,6 +367,13 @@ class TestBuildScenario:
         parsed = json.loads(text_a)
         assert parsed["config"]["K"] == 16
         assert parsed["views"] == 4
+        # Every report field is serialized, so a new field changes the schema.
+        assert set(parsed) == {"views", "joints", "k", "noise_px", "mpjpe_mm",
+                               "analytic_mpjpe_mm", "jdr_pct", "matching_accuracy",
+                               "per_joint", "config"}
+        assert set(parsed["per_joint"][0]) == {
+            "joint", "error_mm", "analytic_error_mm", "observed_views", "inlier_views",
+            "match_hits", "match_total", "profile"}
 
 
 class TestSimilarityProfile:
