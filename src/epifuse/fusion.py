@@ -86,7 +86,6 @@ class FusionParams:
         if self.variant == "identity":
             if w_z.shape[0] != w_z.shape[1]:
                 raise ShapeMismatch("identity variant needs a square w_z")
-            c = w_z.shape[1]
             object.__setattr__(self, "theta", None)
             object.__setattr__(self, "phi", None)
             object.__setattr__(self, "g", None)
@@ -107,11 +106,10 @@ class FusionParams:
                 object.__setattr__(self, name, e)
         w_z.flags.writeable = False
         object.__setattr__(self, "w_z", w_z)
-        object.__setattr__(self, "_channels", c)
 
     @property
     def channels(self) -> int:
-        return self._channels
+        return self.w_z.shape[1]
 
     @classmethod
     def initialize(

@@ -126,4 +126,6 @@ def load_pose_csv(path: str | Path) -> tuple[list[int], np.ndarray, np.ndarray]:
                 confs.append(float(row[-1]))
             except ValueError as exc:
                 raise ConfigError(f"{path}: row {line_no}: {exc}") from exc
+    if not ids:
+        raise ConfigError(f"{path}: pose file has a header but no rows")
     return ids, np.asarray(pts, dtype=np.float64), np.asarray(confs, dtype=np.float64)

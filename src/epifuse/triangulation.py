@@ -180,4 +180,6 @@ def load_observations(path: str | Path) -> list[tuple[int, int, float, float, fl
                 raise ConfigError(f"{path}: row {line_no}: {exc}") from exc
             if not 0.0 <= rows[-1][4] <= 1.0:
                 raise ConfigError(f"{path}: row {line_no}: confidence must lie in [0, 1]")
+    if not rows:
+        raise ConfigError(f"{path}: observations file has a header but no rows")
     return rows

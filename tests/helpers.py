@@ -78,6 +78,26 @@ def rectified_pair(
     return CameraView(m_ref, width, height), CameraView(m_src, width, height)
 
 
+# -- camera constant oracles -----------------------------------------------------
+#
+# The center and pseudo-inverse formulas as free functions of M, against which
+# CameraView.center and CameraView.pinv must agree bit for bit.
+
+
+def center_oracle(m) -> np.ndarray:
+    """Unit right null vector of m from the full SVD, last nonzero coordinate positive."""
+    c = np.linalg.svd(np.asarray(m, dtype=np.float64))[2][3]
+    c = c / np.linalg.norm(c)
+    nonzero = np.flatnonzero(np.abs(c) > 1e-14)
+    return -c if c[nonzero[-1]] < 0.0 else c
+
+
+def pinv_oracle(m) -> np.ndarray:
+    """Moore-Penrose pseudo-inverse of m from the reduced SVD."""
+    u, s, vt = np.linalg.svd(np.asarray(m, dtype=np.float64), full_matrices=False)
+    return (vt.T / s) @ u.T
+
+
 # -- scalar fusion oracles ------------------------------------------------------
 #
 # Per-pixel reference math for the dense forward pass, written without the

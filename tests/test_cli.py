@@ -273,6 +273,16 @@ class TestTriangulate:
         assert not out.exists()
         assert "confidence" in capsys.readouterr().err
 
+    def test_header_only_observations_exit_2(self, tmp_path, capsys):
+        rig_path, obs_path, _, _ = self.make_inputs(tmp_path)
+        obs_path.write_text("view_id,joint_id,x,y,confidence\n")
+        out = tmp_path / "pose.csv"
+        rc = main(["triangulate", "--rig", str(rig_path), "--obs", str(obs_path),
+                   "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        assert str(obs_path) in capsys.readouterr().err
+
 
 class TestGradcheck:
     def test_pass(self, capsys):
@@ -367,6 +377,18 @@ class TestEval:
         save_pose_csv([0, 5], np.zeros((2, 3)), np.ones(2), gt)
         assert main(["eval", "--pred", str(pred), "--gt", str(gt)]) == 2
         assert "joint" in capsys.readouterr().err.lower()
+
+    @pytest.mark.parametrize("empty", ["pred", "gt"])
+    def test_header_only_pose_exits_2(self, tmp_path, capsys, empty):
+        paths = {"pred": tmp_path / "pred.csv", "gt": tmp_path / "gt.csv"}
+        for path in paths.values():
+            self.write_pose(path, np.zeros((2, 3)))
+        paths[empty].write_text("joint_id,x,y,z,confidence\n")
+        out = tmp_path / "report.json"
+        assert main(["eval", "--pred", str(paths["pred"]), "--gt", str(paths["gt"]),
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+        assert str(paths[empty]) in capsys.readouterr().err
 
 
 class TestHelp:

@@ -16,19 +16,27 @@ from epifuse.errors import (
 from epifuse.geometry import (
     CameraView,
     apply_affine_to_camera,
-    camera_center,
+    camera_at_resolution,
     camera_from_dict,
     epipolar_line,
     fundamental_matrix,
     load_rig_file,
     normalize_line,
     project,
-    pseudo_inverse,
     rescale_camera,
     rig_to_json,
     skew,
 )
-from helpers import look_at_camera, random_camera, random_camera_pair, rectified_pair, visible_point
+from epifuse.synth import make_rig
+from helpers import (
+    center_oracle,
+    look_at_camera,
+    pinv_oracle,
+    random_camera,
+    random_camera_pair,
+    rectified_pair,
+    visible_point,
+)
 
 finite3 = st.lists(
     st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False), min_size=3, max_size=3
@@ -56,27 +64,21 @@ class TestSkew:
 class TestCameraCenter:
     def test_canonical_camera(self):
         cam = CameraView(np.hstack([np.eye(3), np.zeros((3, 1))]), 4, 4)
-        assert np.allclose(camera_center(cam), [0.0, 0.0, 0.0, 1.0])
+        assert np.allclose(cam.center, [0.0, 0.0, 0.0, 1.0])
 
     def test_translated_camera(self):
         t = np.array([1.0, 2.0, 3.0])
         cam = CameraView(np.hstack([np.eye(3), -t[:, None]]), 4, 4)
         expected = np.array([1.0, 2.0, 3.0, 1.0]) / np.sqrt(15.0)
-        assert np.allclose(camera_center(cam), expected, atol=1e-12)
+        assert np.allclose(cam.center, expected, atol=1e-12)
 
     def test_random_null_vector(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
             cam = random_camera(rng)
-            c = camera_center(cam)
+            c = cam.center
             assert np.linalg.norm(cam.M @ c) < 1e-10
-            # Oracle: independent SVD null space with the same sign rule.
-            _, _, vt = np.linalg.svd(cam.M)
-            ref = vt[3] / np.linalg.norm(vt[3])
-            nz = np.flatnonzero(np.abs(ref) > 1e-14)
-            if ref[nz[-1]] < 0.0:
-                ref = -ref
-            assert np.allclose(c, ref, atol=1e-12)
+            assert c.tobytes() == center_oracle(cam.M).tobytes()
 
     def test_rank_deficient_matrix_rejected(self):
         m = np.vstack([np.eye(2, 4), np.eye(2, 4)[0] + np.eye(2, 4)[1]])
@@ -86,14 +88,14 @@ class TestCameraCenter:
 
 class TestPseudoInverse:
     def test_canonical(self):
-        m = np.hstack([np.eye(3), np.zeros((3, 1))])
-        assert np.allclose(pseudo_inverse(m), np.vstack([np.eye(3), np.zeros((1, 3))]))
+        cam = CameraView(np.hstack([np.eye(3), np.zeros((3, 1))]), 4, 4)
+        assert np.allclose(cam.pinv, np.vstack([np.eye(3), np.zeros((1, 3))]))
 
     def test_penrose_conditions(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
-            m = random_camera(rng).M
-            pinv = pseudo_inverse(m)
+            cam = random_camera(rng)
+            m, pinv = cam.M, cam.pinv
             assert np.allclose(m @ pinv, np.eye(3), atol=1e-9)
             assert np.allclose(m @ pinv @ m, m, atol=1e-9)
 
@@ -103,13 +105,45 @@ class TestPseudoInverse:
         u, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         v, _ = np.linalg.qr(rng.standard_normal((4, 4)))
         m = u @ np.diag([1.0, 1e-3, 1e-6]) @ v[:3]
-        assert np.allclose(m @ pseudo_inverse(m), np.eye(3), atol=1e-9)
+        assert np.allclose(m @ CameraView(m, 4, 4).pinv, np.eye(3), atol=1e-9)
 
     def test_rank_deficient(self):
         m = np.zeros((3, 4))
         m[0, 0] = m[1, 1] = 1.0
         with pytest.raises(RankDeficient):
-            pseudo_inverse(m)
+            CameraView(m, 4, 4)
+
+
+class TestCachedCameraConstants:
+    """center and pinv equal the SVD formulas bit for bit, computed once."""
+
+    @staticmethod
+    def assert_match(cam):
+        assert cam.center.tobytes() == center_oracle(cam.M).tobytes()
+        assert cam.pinv.tobytes() == pinv_oracle(cam.M).tobytes()
+
+    def test_criterion_01_pairs(self):
+        # The first 200 pairs of the release gate's criterion 1, in its draw order.
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            for cam in random_camera_pair(rng):
+                self.assert_match(cam)
+            rng.uniform(0.0, 63.0, (20, 2))
+
+    def test_rig_ring_and_its_halves(self):
+        rig = make_rig(10, 24.0, 2000.0, (64, 48), 80.0, seed=3)
+        for cam in rig.cameras:
+            self.assert_match(cam)
+            self.assert_match(camera_at_resolution(cam, 32, 24))
+
+    def test_repeated_access_returns_one_read_only_array(self):
+        cam = random_camera(np.random.default_rng(12))
+        for name in ("center", "pinv"):
+            first = getattr(cam, name)
+            assert getattr(cam, name) is first
+            assert not first.flags.writeable
+            with pytest.raises(ValueError):
+                first[0] = 0.0
 
 
 class TestEpipolarLine:
@@ -149,9 +183,15 @@ class TestEpipolarLine:
         # collapses the line to the zero vector in exact arithmetic.
         ref = CameraView(np.hstack([np.eye(3), np.zeros((3, 1))]), 8, 8)
         src = CameraView(np.hstack([np.eye(3), -np.array([[0.0], [0.0], [5.0]])]), 8, 8)
-        assert np.allclose(project(ref, camera_center(src)[:3] / camera_center(src)[3]), [0.0, 0.0])
+        assert np.allclose(project(ref, src.center[:3] / src.center[3]), [0.0, 0.0])
         with pytest.raises(DegenerateLine):
             epipolar_line(ref, src, (0.0, 0.0))
+
+    @pytest.mark.parametrize("p", [(10.0, 20.0, 1.0), [[10.0, 20.0]]])
+    def test_pixel_must_be_an_xy_pair(self, p):
+        ref, src = rectified_pair()
+        with pytest.raises(ValueError, match="2-vector"):
+            epipolar_line(ref, src, p)
 
 
 class TestEpipoleCache:
@@ -260,7 +300,7 @@ class TestApplyAffineToCamera:
         rng = np.random.default_rng(43)
         cam = random_camera(rng)
         out = apply_affine_to_camera(cam, np.array([[2.0, 0.3], [-0.1, 1.5]]), np.array([4.0, -2.0]), 80, 60)
-        assert np.allclose(camera_center(out), camera_center(cam), atol=1e-9)
+        assert np.allclose(out.center, cam.center, atol=1e-9)
 
 
 class TestRescaleCamera:
@@ -295,11 +335,40 @@ class TestRescaleCamera:
         out = rescale_camera(cam, 4.0, 4.0)
         assert (out.width, out.height) == (2, 2)
 
+    def test_matrix_equals_explicit_update(self):
+        # Criterion 8's draws and rescales: each equals the explicit 3x3 image
+        # update T @ M bit for bit.
+        def explicit(cam, s_x, s_y):
+            t = np.array(
+                [
+                    [1.0 / s_x, 0.0, (1.0 - s_x) / (2.0 * s_x)],
+                    [0.0, 1.0 / s_y, (1.0 - s_y) / (2.0 * s_y)],
+                    [0.0, 0.0, 1.0],
+                ]
+            )
+            return (t @ cam.M).tobytes()
+
+        rng = np.random.default_rng(8)
+        for _ in range(1000):
+            cam = random_camera(rng)
+            rng.normal(0.0, 60.0, 3)
+            while True:
+                a = np.eye(2) + 0.3 * rng.standard_normal((2, 2))
+                if abs(float(np.linalg.det(a))) >= 0.2:
+                    break
+            rng.uniform(-20.0, 20.0, 2)
+            s1 = rng.uniform(1.0, 2.0, 2)
+            s2 = rng.uniform(1.0, 2.0, 2)
+            first = rescale_camera(cam, *s1)
+            assert first.M.tobytes() == explicit(cam, *s1)
+            assert rescale_camera(first, *s2).M.tobytes() == explicit(first, *s2)
+            assert rescale_camera(cam, *(s1 * s2)).M.tobytes() == explicit(cam, *(s1 * s2))
+
     def test_center_preserved(self):
         rng = np.random.default_rng(53)
         cam = random_camera(rng)
         out = rescale_camera(cam, 2.0, 4.0)
-        assert np.allclose(camera_center(out), camera_center(cam), atol=1e-9)
+        assert np.allclose(out.center, cam.center, atol=1e-9)
 
 
 class TestProject:

@@ -183,3 +183,9 @@ class TestPoseCSV:
         path.write_text("")
         with pytest.raises(ConfigError, match="empty"):
             load_pose_csv(path)
+
+    def test_header_without_rows(self, tmp_path):
+        path = tmp_path / "pose.csv"
+        path.write_text("joint_id,x,y,z,confidence\n")
+        with pytest.raises(ConfigError, match="no rows"):
+            load_pose_csv(path)

@@ -13,7 +13,7 @@ from epifuse.errors import (
     InvalidAngle,
 )
 from epifuse.fusion import FusionParams, transformer_forward
-from epifuse.geometry import CameraView, camera_center, project, pseudo_inverse
+from epifuse.geometry import CameraView, project
 from epifuse.sampler import epipolar_samples
 from epifuse.synth import (
     Rig,
@@ -52,8 +52,7 @@ SMALL = ScenarioConfig(
 
 
 def center3(cam):
-    c = camera_center(cam)
-    return c[:3] / c[3]
+    return cam.center[:3] / cam.center[3]
 
 
 class TestMakeRig:
@@ -126,7 +125,7 @@ def unit(v):
 
 def point_on_ray(cam, pixel):
     """A 3D point in front of cam projecting exactly to the given pixel."""
-    x_h = pseudo_inverse(cam.M) @ np.array([pixel[0], pixel[1], 1.0])
+    x_h = cam.pinv @ np.array([pixel[0], pixel[1], 1.0])
     c = center3(cam)
     d = x_h[:3] / x_h[3] - c
     for sgn in (1.0, -1.0):

@@ -217,3 +217,9 @@ class TestObservationsIO:
         path.write_text("view_id,joint_id,x,y,confidence\n0,0,oops,2.0,1.0\n")
         with pytest.raises(ConfigError, match="row 2"):
             load_observations(path)
+
+    def test_header_without_rows(self, tmp_path):
+        path = tmp_path / "obs.csv"
+        path.write_text("view_id,joint_id,x,y,confidence\n")
+        with pytest.raises(ConfigError, match="no rows"):
+            load_observations(path)
