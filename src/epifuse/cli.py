@@ -254,7 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=["identity", "bottleneck"], default=None)
     p.add_argument("--mode", choices=["softmax", "max"], default=None)
     p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--save-maps", action="store_true", help="also write fused .fmap files")
+    p.add_argument("--save-maps", action="store_true",
+                   help="also write fused .fmap files (at zero w_z, the rendered maps)")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("profile", help="export one joint's attention profile as CSV")

@@ -15,18 +15,20 @@ are passed through unchanged. Logits are plain dot products.
 The forward pass gathers and attends the valid pixels in fixed blocks of
 _BLOCK, so its memory is the sampling plan plus one block of samples, and
 its output bytes depend on neither the block nor the thread count: every
-pixel's arithmetic is the same whichever block it falls in. A recorded
-pass keeps only the plan, the parameters and the maps; transformer_backward
-rebuilds each block from them and returns exact analytic gradients for both
-feature maps and all fusion parameters. Sample locations depend only on
-camera geometry, so no gradient flows through them; in max mode the weights
-are piecewise constant and the backward pass differentiates the locally
-selected branch.
+pixel's arithmetic is the same whichever block it falls in. Unrecorded at
+a zero W_z, a pass makes no reads and adds the blocks' 0.0 to the valid
+pixels. A recorded pass keeps only the plan, the parameters and the maps;
+transformer_backward rebuilds each block from them and returns exact
+analytic gradients for both feature maps and all fusion parameters. Sample
+locations depend only on camera geometry, so no gradient flows through
+them; in max mode the weights are piecewise constant and the backward pass
+differentiates the locally selected branch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -158,20 +160,26 @@ class SamplingPlan:
     """Geometry of a dense forward pass: one epipolar segment per pixel.
 
     valid flags the reference pixels (row-major) whose line intersects the
-    source map; the bilinear_plan of their reads (corner indices and blend
-    weights) covers only those pixels, K reads per pixel in pixel order, so
-    the plan keeps 5 values per read. Built once per view pair, the plan is
-    reusable across any feature or parameter values at the same
-    resolutions, and it is all the memory an unrecorded forward pass holds
-    besides one block of samples.
+    source map, and ends holds their clipped segments. Their reads' corner
+    and blend (bilinear_plan, K reads per pixel in pixel order: 5 values a
+    read) are built on first use, which an unrecorded pass at a zero W_z
+    never makes. Built once per view pair, the plan is reusable across any
+    feature or parameter values at the same resolutions, and it is all the
+    memory an unrecorded forward pass holds besides one block of samples.
     """
 
     ref_hw: tuple[int, int]
     src_hw: tuple[int, int]
     k: int
     valid: np.ndarray  # (H*W,) bool
-    corner: np.ndarray  # (n_valid*K,) flat top-left corner index
-    blend: np.ndarray  # (4, n_valid*K) corner weights
+    ends: np.ndarray  # (n_valid, 4) segment x0, y0, x1, y1
+
+    @cached_property
+    def _bilinear(self) -> tuple[np.ndarray, np.ndarray]:
+        return _segment_reads(self.ends, self.k, self.src_hw)[1:]
+
+    corner = property(lambda self: self._bilinear[0], doc="(n_valid*K,) flat top-left corners")
+    blend = property(lambda self: self._bilinear[1], doc="(4, n_valid*K) corner weights")
 
 
 @dataclass(eq=False)
@@ -207,41 +215,55 @@ def plan_epipolar_sampling(
     src_hw: tuple[int, int],
     k: int = 64,
 ) -> SamplingPlan:
-    """Segments and bilinear plans for every reference pixel at once.
+    """Clipped epipolar segments of every reference pixel at once.
 
     Cameras at a different resolution than the requested map shapes are
     rescaled first, exactly as epipolar_samples does per query.
     """
-    ref_h, ref_w = ref_hw
-    xs = np.tile(np.arange(ref_w, dtype=np.float64), ref_h)
-    ys = np.repeat(np.arange(ref_h, dtype=np.float64), ref_w)
-    valid, _, corner, blend = _plan_pixels(ref, src, ref_hw, src_hw, xs, ys, k)
-    return SamplingPlan(tuple(ref_hw), tuple(src_hw), k, valid, corner, blend)
+    ys, xs = np.indices(ref_hw, dtype=np.float64).reshape(2, -1)
+    valid, ends = _segments(ref, src, ref_hw, src_hw, xs, ys)
+    return SamplingPlan(tuple(ref_hw), tuple(src_hw), k, valid, ends)
 
 
-def _plan_pixels(ref, src, ref_hw, src_hw, xs, ys, k):
-    """(valid, locations, corner, blend) of the pixels (xs, ys); a plan drops locations."""
-    ref_h, ref_w = ref_hw
+def _segments(ref, src, ref_hw, src_hw, xs, ys):
+    """(valid, clipped segment ends of the valid ones) of the pixels (xs, ys).
+
+    Built _BLOCK * 8 pixels at a time; a segment has the same bits in any block.
+    """
     src_h, src_w = src_hw
-    ref = camera_at_resolution(ref, ref_w, ref_h)
+    ref = camera_at_resolution(ref, ref_hw[1], ref_hw[0])
     src = camera_at_resolution(src, src_w, src_h)
     f = fundamental_matrix(ref, src)
 
-    pixels = np.stack([xs, ys, np.ones_like(xs)], axis=1)
-    # A one-row matmul takes BLAS's matrix-vector path and rounds otherwise:
-    # multiply a lone pixel as a pair and keep row 0.
-    rows = np.repeat(pixels, 2, axis=0) if len(pixels) == 1 else pixels
-    lines, line_ok = normalize_lines((rows @ f.T)[: len(pixels)])
-    clip_ok, ends = clip_lines(lines, src_w, src_h)
-    valid = line_ok & clip_ok
+    parts = []
+    for i in range(0, max(len(xs), 1), _BLOCK * 8):
+        x, y = xs[i : i + _BLOCK * 8], ys[i : i + _BLOCK * 8]
+        pixels = np.stack([x, y, np.ones_like(x)], axis=1)
+        # A one-row matmul takes BLAS's matrix-vector path and rounds otherwise:
+        # multiply a lone pixel as a pair and keep row 0.
+        rows = np.repeat(pixels, 2, axis=0) if len(pixels) == 1 else pixels
+        lines, line_ok = normalize_lines((rows @ f.T)[: len(pixels)])
+        clip_ok, ends = clip_lines(lines, src_w, src_h)
+        valid = line_ok & clip_ok
+        parts.append((valid, ends[valid]))
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
+
+def _segment_reads(ends, k, src_hw):
+    """(locations, corner, blend) of K reads along each segment, the one sampling rule."""
     t = sample_parameters(k)
-    p0 = ends[valid, :2]
-    d = ends[valid, 2:] - p0
+    p0 = ends[:, :2]
+    d = ends[:, 2:] - p0
     locations = t[None, :, None] * d[:, None, :]
     locations += p0[:, None, :]
-    corner, blend = bilinear_plan(src_h, src_w, locations.reshape(-1, 2))
-    return valid, locations, corner, blend
+    corner, blend = bilinear_plan(*src_hw, locations.reshape(-1, 2))
+    return locations, corner, blend
+
+
+def _plan_pixels(ref, src, ref_hw, src_hw, xs, ys, k):
+    """(valid, locations, corner, blend) of the pixels (xs, ys), with a plan's bits."""
+    valid, ends = _segments(ref, src, ref_hw, src_hw, xs, ys)
+    return (valid, *_segment_reads(ends, k, src_hw))
 
 
 def _batch_weights(logits: np.ndarray, mode: str) -> np.ndarray:
@@ -309,7 +331,7 @@ def _blocks(plan: SamplingPlan, f_src: FeatureMap):
     src_h, src_w = plan.src_hw
     k, c = plan.k, f_src.channels
     src_flat = f_src.data.reshape(src_h * src_w, c)
-    n = plan.corner.size // k
+    n = len(plan.ends)
     for lo in range(0, n, _BLOCK):
         hi = min(lo + _BLOCK, n)
         reads = slice(lo * k, hi * k)
@@ -333,38 +355,38 @@ def transformer_forward(
     Every pixel is processed independently; skipped pixels (no epipolar
     intersection) keep their reference feature bit for bit. Valid pixels
     are gathered and attended in fixed blocks of _BLOCK, so memory beyond
-    the plan is one block of samples. With record_grad the state keeps only
-    the plan, the parameters and the two maps (not copied), from which
-    transformer_backward rebuilds each block; the pass is otherwise the same.
+    the plan is one block of samples. Unrecorded at a zero w_z, it reads
+    nothing and adds 0.0 to the valid pixels: the blocks' bits, unless a
+    logit overflows to inf, which the blocks' softmax turns into NaN. With
+    record_grad the state keeps only the plan, the parameters and the two
+    maps (not copied), from which transformer_backward rebuilds each block.
     Pass a precomputed plan to amortize the geometry across repeated calls
     with the same cameras, map shapes, and K. _attend_at gives the weights
     of chosen pixels alone, with the same bits.
     """
     if f_ref.channels != f_src.channels:
-        raise ChannelMismatch(
-            f"reference has {f_ref.channels} channels, source {f_src.channels}"
-        )
+        raise ChannelMismatch(f"reference has {f_ref.channels} channels, source {f_src.channels}")
     c = f_ref.channels
     if params.channels != c:
         raise ShapeMismatch(f"params are for {params.channels} channels, maps have {c}")
+    ref_hw, src_hw = (f_ref.height, f_ref.width), (f_src.height, f_src.width)
     if plan is None:
-        plan = plan_epipolar_sampling(
-            ref, src, (f_ref.height, f_ref.width), (f_src.height, f_src.width), k
-        )
-    elif plan.ref_hw != (f_ref.height, f_ref.width) or plan.src_hw != (
-        f_src.height,
-        f_src.width,
-    ):
+        plan = plan_epipolar_sampling(ref, src, ref_hw, src_hw, k)
+    elif (plan.ref_hw, plan.src_hw) != (ref_hw, src_hw):
         raise ShapeMismatch("sampling plan does not match the map shapes")
 
     h, w = plan.ref_hw
     fused_flat = f_ref.data.reshape(h * w, c).copy()
-    rows = fused_flat[plan.valid]  # queries in, fused rows out, block by block
-    for pixels, _, samples in _blocks(plan, f_src):
-        rows[pixels] = _attend(params, rows[pixels], samples)[1]
-    fused_flat[plan.valid] = rows
+    if record_grad or np.any(params.w_z):
+        rows = fused_flat[plan.valid]  # queries in, fused rows out, block by block
+        for pixels, _, samples in _blocks(plan, f_src):
+            rows[pixels] = _attend(params, rows[pixels], samples)[1]
+        fused_flat[plan.valid] = rows
+    else:
+        # What the blocks' zero residual adds, in place.
+        np.add(fused_flat, 0.0, out=fused_flat, where=plan.valid[:, None])
     state = _ForwardState(plan, params, f_ref, f_src) if record_grad else None
-    return ForwardResult(fused=FeatureMap(fused_flat.reshape(h, w, c)), state=state)
+    return ForwardResult(fused=FeatureMap._adopt(fused_flat.reshape(h, w, c)), state=state)
 
 
 def transformer_backward(state: _ForwardState | None, grad_fused: np.ndarray) -> FusionGradients:

@@ -38,7 +38,16 @@ class FeatureMap:
     data: np.ndarray
 
     def __post_init__(self) -> None:
-        data = np.array(self.data, dtype=np.float64, order="C", copy=True)
+        self._take(np.array(self.data, dtype=np.float64, order="C", copy=True))
+
+    @classmethod
+    def _adopt(cls, data: np.ndarray) -> FeatureMap:
+        """A map over data, a new C-ordered float64 array that nothing else holds, uncopied."""
+        fmap = object.__new__(cls)
+        fmap._take(data)
+        return fmap
+
+    def _take(self, data: np.ndarray) -> None:
         if data.ndim != 3:
             raise ValueError(f"feature map must be (H, W, C), got {data.shape}")
         h, w, c = data.shape

@@ -197,7 +197,7 @@ def render_descriptor_map(
             continue
         blob = np.exp(-((xs[None, :] - px) ** 2 + (ys[:, None] - py) ** 2) * inv)
         data += blob[:, :, None] * desc[None, None, :]
-    return FeatureMap(data)
+    return FeatureMap._adopt(data)
 
 
 def _project_joints(cam: CameraView, joints: np.ndarray) -> np.ndarray:
@@ -280,7 +280,7 @@ def run_pipeline(
     for a fixed seed, including across thread counts: workers only evaluate
     pure functions and results are merged in view order.
 
-    Pass a list as fused_out to receive the per-view fused maps.
+    Pass a list as fused_out for the per-view fused maps (at zero w_z, the rendered maps).
     """
     cams = rig.cameras
     n_views = rig.n_views
@@ -301,26 +301,35 @@ def run_pipeline(
     proj = np.stack([_project_joints(cam, scene.joints) for cam in cams_m])
     visible = _inside(proj, mw, mh)
 
-    maps = _ordered_map(
-        lambda cam: render_descriptor_map(cam, scene, sigma_px, (mw, mh)), cams, threads
-    )
-    per_view = _ordered_map(
-        lambda r: _fuse_and_match(r, src_of[r], maps, cams_m, proj, visible, params, k),
-        range(n_views),
-        threads,
-    )
-    fused = [v[0] for v in per_view]
+    # Views run `threads` at a time in _view_order. Each map is rendered for
+    # the first view that reads it and dropped after the last, and a fused
+    # map is kept only for fused_out, so one thread holds a few maps, not all.
+    def render(m):
+        return render_descriptor_map(cams[m], scene, sigma_px, (mw, mh))
+
+    def fuse(r):
+        return _fuse_and_match(r, src_of[r], maps, cams_m, proj, visible, params, k,
+                               scene.descriptors, fused_out is not None)
+
+    order, step = _view_order(src_of), max(1, threads)
+    maps: dict[int, FeatureMap] = {}
+    per_view: list = [None] * n_views
+    for lo in range(0, n_views, step):
+        chunk = order[lo : lo + step]
+        new = sorted({m for r in chunk for m in (r, src_of[r])} - maps.keys())
+        maps.update(zip(new, _ordered_map(render, new, threads)))
+        for r, out in zip(chunk, _ordered_map(fuse, chunk, threads)):
+            per_view[r] = out
+        later = {m for r in order[lo + step :] for m in (r, src_of[r])}
+        maps = {m: fmap for m, fmap in maps.items() if m in later}
     match_hits = sum(v[1] for v in per_view)
     match_total = sum(v[2] for v in per_view)
     profiles = per_view[0][3]
     if fused_out is not None:
-        fused_out.extend(fused)
+        fused_out.extend(v[4] for v in per_view)
 
-    # Heatmap readout per view and joint, then optional detection noise.
-    detections = np.zeros((n_views, n_joints, 2))
-    for r in range(n_views):
-        for j in range(n_joints):
-            detections[r, j] = argmax_peak(fused[r].data @ scene.descriptors[j])[0]
+    # Optional detection noise on the heatmap peaks.
+    detections = np.stack([v[0] for v in per_view])
     noise = np.random.default_rng(s_heat).standard_normal((n_views, n_joints, 2))
     detections = detections + noise_px * noise
     analytic_noise = np.random.default_rng(s_analytic).standard_normal(
@@ -396,6 +405,21 @@ def _choose_sources(angles_deg: np.ndarray, target_angle_deg: float) -> list[int
     return sources
 
 
+def _view_order(src_of: list[int]) -> list[int]:
+    """Views in an order that renders few maps ahead.
+
+    Each next view is the one reading the fewest maps not yet rendered, the
+    lowest index on ties.
+    """
+    order, rendered = [], set()
+    while len(order) < len(src_of):
+        r = min((v for v in range(len(src_of)) if v not in order),
+                key=lambda v: len({v, src_of[v]} - rendered))
+        order.append(r)
+        rendered |= {r, src_of[r]}
+    return order
+
+
 def _triangulate_joints(
     cams_m, detections, visible, threshold_px, iterations, entropy
 ) -> tuple[np.ndarray, np.ndarray, list[int | None]]:
@@ -428,15 +452,17 @@ def _query_pixel(p: np.ndarray, width: int, height: int) -> tuple[int, int]:
     return qx, qy
 
 
-def _fuse_and_match(r, s, maps, cams_m, proj, visible, params, k):
-    """Fuse view r with source s, and match at the joints' query pixels.
+def _fuse_and_match(r, s, maps, cams_m, proj, visible, params, k, descriptors, keep_fused):
+    """Fuse view r with source s, read its heatmap peaks, and match at its joints.
 
     A joint seen in both views counts once; it is a hit when the largest
     weight at its rounded reference pixel, from _attend_at, sits within one
     sample step of its true source projection. Profiles are read for
-    reference view 0 only. Returns (fused map, hits, totals, profiles).
+    reference view 0 only. Returns ((J, 2) peaks, hits, totals, profiles,
+    fused map or None without keep_fused).
     """
     fused = transformer_forward(maps[r], maps[s], cams_m[r], cams_m[s], params, k).fused
+    peaks = np.array([argmax_peak(fused.data @ d)[0] for d in descriptors]).reshape(-1, 2)
     n_joints = visible.shape[1]
     hits = np.zeros(n_joints, dtype=int)
     totals = (visible[r] & visible[s]).astype(int)
@@ -455,7 +481,7 @@ def _fuse_and_match(r, s, maps, cams_m, proj, visible, params, k):
         if r == 0:
             dots = samples[i] @ maps[r].data[qy, qx]
             profiles[j] = _profile(r, s, locations[i], weights[i], dots)
-    return fused, hits, totals, profiles
+    return peaks, hits, totals, profiles, fused if keep_fused else None
 
 
 def _profile(ref_view: int, src_view: int, locations, weights, dots) -> dict:

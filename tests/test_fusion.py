@@ -17,6 +17,7 @@ from epifuse.fusion import (
     _attend_at,
     _ForwardState,
     _plan_pixels,
+    _segments,
     plan_epipolar_sampling,
     similarity_weights,
     transformer_backward,
@@ -306,13 +307,9 @@ def general_pair(size):
 
 
 def first_valid(plan, n):
-    """The plan restricted to its first n valid pixels; the rest are skipped."""
-    reads = n * plan.k
+    """A fresh plan of the first n valid pixels of plan; the rest are skipped."""
     return dataclasses.replace(
-        plan,
-        valid=plan.valid & (np.cumsum(plan.valid) <= n),
-        corner=plan.corner[:reads],
-        blend=plan.blend[:, :reads],
+        plan, valid=plan.valid & (np.cumsum(plan.valid) <= n), ends=plan.ends[:n]
     )
 
 
@@ -460,21 +457,44 @@ class TestBlockedForward:
         assert peak < bound
 
     def test_plan_setup_memory(self):
-        # The plan keeps 5 values per read (1 corner, 4 blend) besides valid.
-        # Set-up also holds the 2 location values per read and may add 3
-        # read-sized temporaries (clamped x and y, and the x corner) and
-        # per-pixel line arrays worth well under half a read.
+        # Set-up keeps valid and 4 segment-end floats per valid pixel. While
+        # building them it holds the pixel coordinates (2 floats a pixel),
+        # the ends twice as its blocks are joined (8), and one block's
+        # homogeneous pixels, lines and clipping temporaries (under 32 floats
+        # for each of the block's 1024 pixels): 10.5 floats a pixel here, where
+        # the unblocked build held 29.5. One read-sized array would be 64.
         ref, src = general_pair(160)
         tracemalloc.start()
         try:
             plan = plan_epipolar_sampling(ref, src, (160, 160), (160, 160), 64)
-            peak = tracemalloc.get_traced_memory()[1]
+            setup = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            plan.corner
+            reading = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        reads = plan.corner.size
         arrays = [v for v in vars(plan).values() if isinstance(v, np.ndarray)]
-        assert sum(a.nbytes for a in arrays) == 5 * reads * 8 + plan.valid.nbytes
-        assert peak < 10.5 * reads * 8
+        n_valid = np.count_nonzero(plan.valid)
+        assert sum(a.nbytes for a in arrays) == 4 * n_valid * 8 + plan.valid.nbytes
+        assert setup < 10.5 * plan.valid.size * 8 + 32 * 1024 * 8
+        # Reading adds 5 values per read (1 corner, 4 blend). Building them
+        # also holds the 2 location values per read and may add 3 read-sized
+        # temporaries (clamped x and y, and the x corner).
+        reads = plan.corner.size
+        assert reads == n_valid * 64
+        assert plan.corner.nbytes + plan.blend.nbytes == 5 * reads * 8
+        assert reading < 10.5 * reads * 8
+
+
+    def test_segments_do_not_depend_on_the_block(self):
+        # A 48x48 plan is built in three blocks of pixels; a row alone is one.
+        ref, src = general_pair(48)
+        plan = plan_epipolar_sampling(ref, src, (48, 48), (48, 48), 8)
+        xs = np.arange(48, dtype=np.float64)
+        rows = [_segments(ref, src, (48, 48), (48, 48), xs, np.full(48, float(y)))
+                for y in range(48)]
+        assert same_bits(plan.valid, np.concatenate([valid for valid, _ in rows]))
+        assert same_bits(plan.ends, np.concatenate([ends for _, ends in rows]))
 
 
 ORACLE_KS = [1, PAIR_K, 64]
@@ -577,11 +597,11 @@ PIXEL_LISTS = {
 }
 
 
-def dense_locations(ref, src, hw, k):
-    """(n_valid, K, 2) read locations of every pixel a dense plan keeps, in plan order."""
+def dense_plan_pixels(ref, src, hw, k):
+    """_plan_pixels of every pixel of an hw map, row-major: (valid, locations, corner, blend)."""
     xs = np.tile(np.arange(hw[1], dtype=np.float64), hw[0])
     ys = np.repeat(np.arange(hw[0], dtype=np.float64), hw[1])
-    return _plan_pixels(ref, src, hw, hw, xs, ys, k)[1]
+    return _plan_pixels(ref, src, hw, hw, xs, ys, k)
 
 
 class TestAttendAt:
@@ -606,9 +626,102 @@ class TestAttendAt:
         flat = np.array([y * 32 + x for x, y in pixels], dtype=np.intp)
         assert same_bits(valid, plan.valid[flat])
         rows = (np.cumsum(plan.valid) - 1)[flat[valid]]
-        assert same_bits(locations, dense_locations(ref, src, (32, 32), PAIR_K)[rows])
+        assert same_bits(locations, dense_plan_pixels(ref, src, (32, 32), PAIR_K)[1][rows])
         assert same_bits(samples, state["samples"][rows])
         assert same_bits(weights, state["weights"][rows])
+
+
+def zero_residual(params):
+    return dataclasses.replace(params, w_z=np.zeros_like(params.w_z))
+
+
+def signed_zero_maps(f_ref, f_src):
+    """Both maps made non-positive: every even pixel all -0.0, every odd one all negative."""
+    out = []
+    for fmap in (f_ref, f_src):
+        data = -np.abs(fmap.data)
+        data.reshape(-1, fmap.channels)[::2] = -0.0
+        out.append(FeatureMap(data))
+    return out
+
+
+def fail_if_called(*args, **kwargs):
+    raise AssertionError("a zero-residual unrecorded pass must not gather or attend")
+
+
+class TestZeroResidual:
+    """Unrecorded at a zero w_z, the forward reads nothing and keeps the blocks' bits."""
+
+    @pytest.mark.parametrize("maps", ["random", "signed-zero"])
+    @pytest.mark.parametrize("n_valid", [0, 1, _BLOCK + 1, None], ids=str)  # None: plan=None
+    @pytest.mark.parametrize("variant", ["identity", "bottleneck"])
+    @pytest.mark.parametrize("mode", ["softmax", "max"])
+    def test_matches_unblocked_oracle(self, pair, monkeypatch, maps, n_valid, variant, mode):
+        ref, src, f_ref, f_src, full_plan = pair
+        if maps == "signed-zero":
+            f_ref, f_src = signed_zero_maps(f_ref, f_src)
+        params = zero_residual(make_params(variant, mode, PAIR_C, seed=21))
+        plan = full_plan if n_valid is None else first_valid(full_plan, n_valid)
+        want, _ = unblocked_forward(f_ref, f_src, params, plan)
+        if maps == "signed-zero" and n_valid != 0:
+            assert not same_bits(want, f_ref.data)  # some -0.0 became +0.0
+
+        supplied = None if n_valid is None else first_valid(full_plan, n_valid)
+        for name in ("_blocks", "_attend", "_segment_reads"):
+            monkeypatch.setattr(f"epifuse.fusion.{name}", fail_if_called)
+        out = transformer_forward(f_ref, f_src, ref, src, params, PAIR_K, plan=supplied)
+        assert same_bits(out.fused.data, want)
+        assert out.state is None
+        assert supplied is None or "_bilinear" not in vars(supplied)
+
+    @pytest.mark.parametrize("variant", ["identity", "bottleneck"])
+    @pytest.mark.parametrize("mode", ["softmax", "max"])
+    def test_recorded_pass_still_attends(self, pair, variant, mode):
+        # The w_z gradient is not zero at a zero w_z, so recording keeps the blocks.
+        ref, src, f_ref, f_src, full_plan = pair
+        plan = first_valid(full_plan, _BLOCK + 1)
+        params = zero_residual(make_params(variant, mode, PAIR_C, seed=21))
+        out = transformer_forward(f_ref, f_src, ref, src, params, PAIR_K,
+                                  plan=plan, record_grad=True)
+        assert out.state is not None and "_bilinear" in vars(plan)
+        upstream = np.random.default_rng(25).standard_normal((32, 32, PAIR_C))
+        grads = transformer_backward(out.state, upstream)
+        _, want_state = unblocked_forward(f_ref, f_src, params, plan, einsum_attend)
+        want = einsum_backward(plan, params, want_state, upstream)["w_z"]
+        assert np.any(want)
+        assert (same_bits if variant == "identity" else rel_close)(grads.w_z, want)
+
+    def test_overflowing_logit_keeps_the_reference(self, pair):
+        # The one deliberate difference from the blocks: a logit that
+        # overflows to inf makes their softmax NaN, while the skipped pass
+        # returns the finite reference map.
+        ref, src, f_ref, f_src, plan = pair
+        f_ref, f_src = FeatureMap(f_ref.data * 1e200), FeatureMap(f_src.data * 1e200)
+        params = zero_residual(make_params("identity", "softmax", PAIR_C, seed=21))
+        with np.errstate(over="ignore", invalid="ignore"):
+            want, _ = unblocked_forward(f_ref, f_src, params, plan)
+        got = transformer_forward(f_ref, f_src, ref, src, params, PAIR_K, plan=plan)
+        assert np.isnan(want).any()
+        assert same_bits(got.fused.data, f_ref.data)
+
+
+class TestLazyPlan:
+    """A plan keeps its segment ends and builds its reads on first use."""
+
+    @pytest.mark.parametrize("k", ORACLE_KS)
+    def test_reads_equal_plan_pixels(self, pair, k):
+        ref, src, *_ = pair
+        plan = plan_epipolar_sampling(ref, src, (32, 32), (32, 32), k)
+        assert "_bilinear" not in vars(plan)
+        valid, _, corner, blend = dense_plan_pixels(ref, src, (32, 32), k)
+        assert same_bits(plan.valid, valid)
+        assert same_bits(plan.blend, blend) and same_bits(plan.corner, corner)
+        assert plan.corner is plan.corner and plan.blend is plan.blend
+        # A plan cut to its first valid pixels reads what the whole plan reads first.
+        for n_valid in VALID_COUNTS:
+            cut = first_valid(plan, n_valid)
+            assert same_bits(cut.corner, corner[: n_valid * k])
+            assert same_bits(cut.blend, blend[:, : n_valid * k])
 
 
 class TestParamsValidation:

@@ -433,6 +433,18 @@ class TestFeatureMapValidation:
         with pytest.raises(ValueError):
             fmap.data[0, 0, 0] = 1.0
 
+    def test_adopt_keeps_the_array_and_its_checks(self):
+        # The constructor copies its input; _adopt takes a new array as it is.
+        data = np.zeros((3, 3, 1))
+        assert not np.shares_memory(FeatureMap(data).data, data)
+        fmap = FeatureMap._adopt(data)
+        assert fmap.data is data and not data.flags.writeable
+        data = np.zeros((3, 3, 1))
+        data[1, 1, 0] = np.inf
+        for bad in (data, np.zeros((1, 4, 2))):
+            with pytest.raises(ValueError):
+                FeatureMap._adopt(bad)
+
     def test_sample_set_shape_checks(self):
         with pytest.raises(ValueError):
             EpipolarSampleSet(locations=np.zeros((0, 2)), features=np.zeros((0, 4)))

@@ -1,5 +1,6 @@
 import json
 import sys
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -291,6 +292,32 @@ class TestRunPipeline:
         for r, s in enumerate(synth._choose_sources(rig.angles_deg, 24.0)):
             want = transformer_forward(maps[r], maps[s], rig.cameras[r], rig.cameras[s], params, 16)
             assert fused[r].data.tobytes() == want.fused.data.tobytes()
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_maps_rendered_once_and_dropped(self, monkeypatch, threads):
+        # 8 views 12 degrees apart fuse with a view 24 degrees away, so the
+        # views form pairs of pairs such as (0, 2) and (1, 3). Taking a pair's
+        # views one after the other, one thread has at most one earlier map
+        # alive whenever it renders; in view order it would have three.
+        rig = make_rig(8, 12.0, 1500.0, (48, 48), 60.0, 3)
+        scene = make_scene(5, 600.0, 8, 4)
+        params = FusionParams.initialize("identity", "softmax", 8)
+        render = synth.render_descriptor_map
+        rendered, alive = [], []
+
+        def counted(cam, *args):
+            alive.append(sum(ref() is not None for ref in rendered))
+            fmap = render(cam, *args)
+            rendered.append(weakref.ref(fmap))
+            return fmap
+
+        want = report_json(run_pipeline(rig, scene, params, k=8, ransac_iterations=25))
+        monkeypatch.setattr(synth, "render_descriptor_map", counted)
+        got = report_json(run_pipeline(rig, scene, params, k=8, ransac_iterations=25,
+                                       threads=threads))
+        assert got == want and len(rendered) == 8
+        if threads == 1:
+            assert max(alive) == 1
 
     def test_noise_is_seeded(self):
         rig, scene, params = self.small_setup()
