@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -73,16 +74,17 @@ def _replace_into(path: Path, save) -> None:
     os.replace(tmp, path)
 
 
+def _check_flags(*checks: tuple[str, bool, str]) -> None:
+    """Raise ConfigError for the first (flag, in range, what it must be) out of range."""
+    for flag, ok, need in checks:
+        if not ok:
+            raise ConfigError(f"{flag} must be {need}")
+
+
 def _apply_overrides(config: ScenarioConfig, args: argparse.Namespace) -> ScenarioConfig:
-    updates = {}
-    if getattr(args, "seed", None) is not None:
-        updates["seed"] = args.seed
-    if getattr(args, "k", None) is not None:
-        updates["k"] = args.k
-    if getattr(args, "variant", None) is not None:
-        updates["variant"] = args.variant
-    if getattr(args, "mode", None) is not None:
-        updates["weight_mode"] = args.mode
+    flags = {"seed": "seed", "k": "k", "variant": "variant", "mode": "weight_mode"}
+    updates = {key: getattr(args, flag) for flag, key in flags.items()
+               if getattr(args, flag, None) is not None}
     return dataclasses.replace(config, **updates) if updates else config
 
 
@@ -105,6 +107,7 @@ def cmd_scene_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    _check_flags(("--threads", args.threads >= 1, "at least 1"))
     config = _apply_overrides(load_scenario(args.config), args)
     out_dir = Path(args.out)
     fused = [] if args.save_maps else None
@@ -183,6 +186,17 @@ def cmd_triangulate(args: argparse.Namespace) -> int:
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
+    _check_flags(
+        ("--height", args.height >= 2, "at least 2"),
+        ("--width", args.width >= 2, "at least 2"),
+        ("--channels", args.channels >= 1, "at least 1"),
+        ("--channels", args.variant != "bottleneck" or args.channels % 2 == 0,
+         "even for the bottleneck variant"),
+        ("--k", args.k >= 1, "at least 1"),
+        ("--seed", args.seed >= 0, "non-negative"),
+        ("--step", 0.0 < args.step < math.inf, "positive and finite"),
+        ("--tolerance", 0.0 < args.tolerance < math.inf, "positive and finite"),
+    )
     if args.mode == "max":
         print(
             "warning: max mode has subgradient-style semantics; the check treats "

@@ -12,23 +12,22 @@ where the bottleneck scores in an embedded half-width space, w ~ softmax of
 (theta^T q) . (phi^T s_i). Pixels whose epipolar line misses the source map
 are passed through unchanged. Logits are plain dot products.
 
-The forward pass gathers and attends the valid pixels in fixed blocks of
-_BLOCK, so its memory is the sampling plan plus one block of samples, and
-its output bytes depend on neither the block nor the thread count: every
-pixel's arithmetic is the same whichever block it falls in. Unrecorded at
-a zero W_z, a pass makes no reads and adds the blocks' 0.0 to the valid
-pixels. A recorded pass keeps only the plan, the parameters and the maps;
-transformer_backward rebuilds each block from them and returns exact
-analytic gradients for both feature maps and all fusion parameters. Sample
-locations depend only on camera geometry, so no gradient flows through
-them; in max mode the weights are piecewise constant and the backward pass
-differentiates the locally selected branch.
+The forward pass gathers and attends the valid pixels of a
+sampler.SamplingPlan in fixed blocks of _BLOCK, so its memory is the plan
+plus one block of samples, and its output bytes depend on neither the block
+nor the thread count: every pixel's arithmetic is the same whichever block
+it falls in. Unrecorded at a zero W_z, a pass makes no reads and adds the
+blocks' 0.0 to the valid pixels. A recorded pass keeps only the plan, the
+parameters and the maps; transformer_backward rebuilds each block from them
+and returns exact analytic gradients for both feature maps and all fusion
+parameters. Sample locations depend only on camera geometry, so no gradient
+flows through them; in max mode the weights are piecewise constant and the
+backward pass differentiates the locally selected branch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -38,19 +37,14 @@ from .errors import (
     ShapeMismatch,
     StateMissing,
 )
-from .geometry import (
-    CameraView,
-    camera_at_resolution,
-    fundamental_matrix,
-    normalize_lines,
-)
+from .geometry import CameraView
 from .sampler import (
     FeatureMap,
+    SamplingPlan,
+    _plan_pixels,
     bilinear_gather,
-    bilinear_plan,
     bilinear_scatter,
-    clip_lines,
-    sample_parameters,
+    plan_epipolar_sampling,
 )
 
 VARIANTS = ("identity", "bottleneck")
@@ -156,33 +150,6 @@ def similarity_weights(
 
 
 @dataclass(eq=False)
-class SamplingPlan:
-    """Geometry of a dense forward pass: one epipolar segment per pixel.
-
-    valid flags the reference pixels (row-major) whose line intersects the
-    source map, and ends holds their clipped segments. Their reads' corner
-    and blend (bilinear_plan, K reads per pixel in pixel order: 5 values a
-    read) are built on first use, which an unrecorded pass at a zero W_z
-    never makes. Built once per view pair, the plan is reusable across any
-    feature or parameter values at the same resolutions, and it is all the
-    memory an unrecorded forward pass holds besides one block of samples.
-    """
-
-    ref_hw: tuple[int, int]
-    src_hw: tuple[int, int]
-    k: int
-    valid: np.ndarray  # (H*W,) bool
-    ends: np.ndarray  # (n_valid, 4) segment x0, y0, x1, y1
-
-    @cached_property
-    def _bilinear(self) -> tuple[np.ndarray, np.ndarray]:
-        return _segment_reads(self.ends, self.k, self.src_hw)[1:]
-
-    corner = property(lambda self: self._bilinear[0], doc="(n_valid*K,) flat top-left corners")
-    blend = property(lambda self: self._bilinear[1], doc="(4, n_valid*K) corner weights")
-
-
-@dataclass(eq=False)
 class _ForwardState:
     plan: SamplingPlan
     params: FusionParams
@@ -206,64 +173,6 @@ class FusionGradients:
     theta: np.ndarray | None = None
     phi: np.ndarray | None = None
     g: np.ndarray | None = None
-
-
-def plan_epipolar_sampling(
-    ref: CameraView,
-    src: CameraView,
-    ref_hw: tuple[int, int],
-    src_hw: tuple[int, int],
-    k: int = 64,
-) -> SamplingPlan:
-    """Clipped epipolar segments of every reference pixel at once.
-
-    Cameras at a different resolution than the requested map shapes are
-    rescaled first, exactly as epipolar_samples does per query.
-    """
-    ys, xs = np.indices(ref_hw, dtype=np.float64).reshape(2, -1)
-    valid, ends = _segments(ref, src, ref_hw, src_hw, xs, ys)
-    return SamplingPlan(tuple(ref_hw), tuple(src_hw), k, valid, ends)
-
-
-def _segments(ref, src, ref_hw, src_hw, xs, ys):
-    """(valid, clipped segment ends of the valid ones) of the pixels (xs, ys).
-
-    Built _BLOCK * 8 pixels at a time; a segment has the same bits in any block.
-    """
-    src_h, src_w = src_hw
-    ref = camera_at_resolution(ref, ref_hw[1], ref_hw[0])
-    src = camera_at_resolution(src, src_w, src_h)
-    f = fundamental_matrix(ref, src)
-
-    parts = []
-    for i in range(0, max(len(xs), 1), _BLOCK * 8):
-        x, y = xs[i : i + _BLOCK * 8], ys[i : i + _BLOCK * 8]
-        pixels = np.stack([x, y, np.ones_like(x)], axis=1)
-        # A one-row matmul takes BLAS's matrix-vector path and rounds otherwise:
-        # multiply a lone pixel as a pair and keep row 0.
-        rows = np.repeat(pixels, 2, axis=0) if len(pixels) == 1 else pixels
-        lines, line_ok = normalize_lines((rows @ f.T)[: len(pixels)])
-        clip_ok, ends = clip_lines(lines, src_w, src_h)
-        valid = line_ok & clip_ok
-        parts.append((valid, ends[valid]))
-    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
-
-
-def _segment_reads(ends, k, src_hw):
-    """(locations, corner, blend) of K reads along each segment, the one sampling rule."""
-    t = sample_parameters(k)
-    p0 = ends[:, :2]
-    d = ends[:, 2:] - p0
-    locations = t[None, :, None] * d[:, None, :]
-    locations += p0[:, None, :]
-    corner, blend = bilinear_plan(*src_hw, locations.reshape(-1, 2))
-    return locations, corner, blend
-
-
-def _plan_pixels(ref, src, ref_hw, src_hw, xs, ys, k):
-    """(valid, locations, corner, blend) of the pixels (xs, ys), with a plan's bits."""
-    valid, ends = _segments(ref, src, ref_hw, src_hw, xs, ys)
-    return (valid, *_segment_reads(ends, k, src_hw))
 
 
 def _batch_weights(logits: np.ndarray, mode: str) -> np.ndarray:

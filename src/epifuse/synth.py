@@ -41,13 +41,12 @@ from .fusion import (
     FusionParams,
     ForwardResult,
     _attend_at,
-    plan_epipolar_sampling,
     transformer_backward,
     transformer_forward,
 )
 from .geometry import PROJECTION_W, CameraView, camera_at_resolution
 from .metrics import argmax_peak, jdr, mpjpe
-from .sampler import FeatureMap, sample_parameters
+from .sampler import FeatureMap, plan_epipolar_sampling, sample_parameters
 from .triangulation import Observation, ransac_triangulate
 
 
@@ -553,36 +552,30 @@ class ScenarioConfig:
                 raise ConfigError(f"config key '{key}' must be {need}")
 
 
-_INT_KEYS = {"cameras", "joints", "channels", "k", "seed", "image_wh", "map_wh",
-             "ransac_iterations"}
-_FLOAT_KEYS = {"angle_deg", "radius_mm", "sigma_px", "noise_px", "focal_px",
-               "extent_mm", "ransac_threshold_px", "head_size_px", "target_angle_deg"}
-_STR_KEYS = {"variant", "weight_mode"}
-
-
 def scenario_from_dict(obj: dict) -> ScenarioConfig:
+    """A config from a JSON object; each key's kind is its ScenarioConfig annotation."""
     if not isinstance(obj, dict):
         raise ConfigError("scenario config must be a JSON object")
-    known = {f.name for f in fields(ScenarioConfig)}
+    kinds = {f.name: f.type for f in fields(ScenarioConfig)}  # "int", "float", "int | None", ...
     values: dict = {}
     for key, raw in obj.items():
         name = "k" if key == "K" else key
-        if name not in known:
+        if name not in kinds:
             raise ConfigError(f"unknown config key '{key}'")
         if name in values:
             raise ConfigError(f"config key '{key}' given twice")
-        if name in _INT_KEYS:
-            if name == "map_wh" and raw is None:
-                values[name] = None
-                continue
+        kind = kinds[name]
+        if raw is None and kind.endswith("| None"):
+            values[name] = None
+        elif kind.startswith("int"):
             if not isinstance(raw, int) or isinstance(raw, bool):
                 raise ConfigError(f"config key '{key}' must be an integer")
             values[name] = raw
-        elif name in _FLOAT_KEYS:
+        elif kind.startswith("float"):
             if not isinstance(raw, (int, float)) or isinstance(raw, bool):
                 raise ConfigError(f"config key '{key}' must be a number")
             values[name] = float(raw)
-        elif name in _STR_KEYS:
+        else:
             if not isinstance(raw, str):
                 raise ConfigError(f"config key '{key}' must be a string")
             values[name] = raw

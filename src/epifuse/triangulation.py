@@ -144,17 +144,6 @@ def _reprojection_errors(observations: list[Observation], x: np.ndarray) -> np.n
 OBS_FIELDS = ("view_id", "joint_id", "x", "y", "confidence")
 
 
-def save_observations(
-    rows: list[tuple[int, int, float, float, float]], path: str | Path
-) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(OBS_FIELDS)
-        for view_id, joint_id, x, y, confidence in rows:
-            writer.writerow([int(view_id), int(joint_id), repr(float(x)), repr(float(y)),
-                             repr(float(confidence))])
-
-
 def load_observations(path: str | Path) -> list[tuple[int, int, float, float, float]]:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import csv
+
 import numpy as np
 
 from epifuse.fusion import _BLOCK, _attend, _batch_weights
 from epifuse.geometry import CameraView, project
+from epifuse.triangulation import OBS_FIELDS
 
 
 def look_at_camera(
@@ -265,3 +268,13 @@ def einsum_backward(plan, params, state, grad_fused) -> dict:
     grads["f_ref"] = d_ref.reshape(h, w, c)
     grads["f_src"] = d_src.reshape(src_h, src_w, c)
     return grads
+
+
+def save_observations(rows, path) -> None:
+    """Write (view_id, joint_id, x, y, confidence) rows as an observations CSV."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(OBS_FIELDS)
+        for view_id, joint_id, x, y, confidence in rows:
+            writer.writerow([int(view_id), int(joint_id), repr(float(x)), repr(float(y)),
+                             repr(float(confidence))])

@@ -8,12 +8,8 @@ from epifuse.geometry import load_rig_file, project
 from epifuse.metrics import jdr, load_pose_csv, mpjpe, save_pose_csv
 from epifuse.sampler import load_feature_map
 from epifuse.synth import ScenarioConfig, scenario_to_dict, similarity_profile
-from epifuse.triangulation import (
-    Observation,
-    dlt_triangulate,
-    load_observations,
-    save_observations,
-)
+from epifuse.triangulation import Observation, dlt_triangulate, load_observations
+from helpers import save_observations
 
 SMALL_DICT = {
     "cameras": 4,
@@ -309,6 +305,30 @@ class TestGradcheck:
         rc = main(["gradcheck", "--height", "200", "--width", "200", "--channels", "16",
                    "--k", "64"])
         assert rc == 2
+
+
+def refuse_compute(*args, **kwargs):
+    raise AssertionError("flags must be range-checked before any compute")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["gradcheck", "--k", "0"], "--k"),
+    (["gradcheck", "--height", "1"], "--height"),
+    (["gradcheck", "--width", "0"], "--width"),
+    (["gradcheck", "--channels", "0"], "--channels"),
+    (["gradcheck", "--variant", "bottleneck", "--channels", "3"], "--channels"),
+    (["gradcheck", "--seed", "-1"], "--seed"),
+    (["gradcheck", "--step", "0"], "--step"),
+    (["gradcheck", "--step", "nan"], "--step"),
+    (["gradcheck", "--tolerance", "-1"], "--tolerance"),
+    (["run", "--config", "unread.json", "--out", "out", "--threads", "0"], "--threads"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_out_of_range_flag_exits_2_before_compute(monkeypatch, capsys, argv, flag):
+    monkeypatch.setattr("epifuse.cli.gradient_check", refuse_compute)
+    monkeypatch.setattr("epifuse.cli.run_scenario", refuse_compute)
+    monkeypatch.setattr("epifuse.cli.load_scenario", refuse_compute)
+    assert main(argv) == 2
+    assert f"error: {flag} must be" in capsys.readouterr().err
 
 
 class TestEval:

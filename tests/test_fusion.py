@@ -16,15 +16,20 @@ from epifuse.fusion import (
     FusionParams,
     _attend_at,
     _ForwardState,
-    _plan_pixels,
-    _segments,
-    plan_epipolar_sampling,
     similarity_weights,
     transformer_backward,
     transformer_forward,
 )
 from epifuse.geometry import CameraView
-from epifuse.sampler import FeatureMap, bilinear_sample, bilinear_scatter, epipolar_samples
+from epifuse.sampler import (
+    FeatureMap,
+    _plan_pixels,
+    _segments,
+    bilinear_sample,
+    bilinear_scatter,
+    epipolar_samples,
+    plan_epipolar_sampling,
+)
 from helpers import (
     add_at_scatter,
     aggregate,
@@ -459,9 +464,9 @@ class TestBlockedForward:
     def test_plan_setup_memory(self):
         # Set-up keeps valid and 4 segment-end floats per valid pixel. While
         # building them it holds the pixel coordinates (2 floats a pixel),
-        # the ends twice as its blocks are joined (8), and one block's
+        # the ends twice as its chunks are joined (8), and one chunk's
         # homogeneous pixels, lines and clipping temporaries (under 32 floats
-        # for each of the block's 1024 pixels): 10.5 floats a pixel here, where
+        # for each of the chunk's 1024 pixels): 10.5 floats a pixel here, where
         # the unblocked build held 29.5. One read-sized array would be 64.
         ref, src = general_pair(160)
         tracemalloc.start()
@@ -487,7 +492,7 @@ class TestBlockedForward:
 
 
     def test_segments_do_not_depend_on_the_block(self):
-        # A 48x48 plan is built in three blocks of pixels; a row alone is one.
+        # A 48x48 plan is built in three chunks of pixels; a row alone is one.
         ref, src = general_pair(48)
         plan = plan_epipolar_sampling(ref, src, (48, 48), (48, 48), 8)
         xs = np.arange(48, dtype=np.float64)
@@ -667,8 +672,8 @@ class TestZeroResidual:
             assert not same_bits(want, f_ref.data)  # some -0.0 became +0.0
 
         supplied = None if n_valid is None else first_valid(full_plan, n_valid)
-        for name in ("_blocks", "_attend", "_segment_reads"):
-            monkeypatch.setattr(f"epifuse.fusion.{name}", fail_if_called)
+        for name in ("fusion._blocks", "fusion._attend", "sampler.segment_reads"):
+            monkeypatch.setattr(f"epifuse.{name}", fail_if_called)
         out = transformer_forward(f_ref, f_src, ref, src, params, PAIR_K, plan=supplied)
         assert same_bits(out.fused.data, want)
         assert out.state is None

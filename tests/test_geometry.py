@@ -221,6 +221,24 @@ class TestEpipoleCache:
             assert epipolar_line(ref, src, p).l.tobytes() == want.tobytes()
             assert fundamental_matrix(ref, src).tobytes() == want_f.tobytes()
 
+    def test_alternating_sources_build_each_factor_once(self, monkeypatch):
+        # Per-query sampling of a smaller map alternates a source camera and
+        # its rescaled copy on one reference camera: each pair's epipole
+        # factor is built once, whatever the order of the calls.
+        calls = []
+
+        def counting_skew(v):
+            calls.append(1)
+            return skew(v)
+
+        monkeypatch.setattr("epifuse.geometry.skew", counting_skew)
+        ref, src = random_camera_pair(np.random.default_rng(12))
+        half = camera_at_resolution(src, 32, 32)
+        for _ in range(5):
+            for cam in (src, half):
+                epipolar_line(ref, cam, (20.0, 30.0))
+        assert len(calls) == 2
+
 
 class TestFundamentalMatrix:
     def test_rectified_form(self):

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epifuse.errors import ConfigError, DegenerateLine
-from epifuse.fusion import _plan_pixels, plan_epipolar_sampling
 from epifuse.geometry import (
     CameraView,
     EpipolarLine,
@@ -21,7 +20,7 @@ from epifuse.geometry import (
 from epifuse.sampler import (
     EpipolarSampleSet,
     FeatureMap,
-    Segment2D,
+    _plan_pixels,
     bilinear_gather,
     bilinear_plan,
     bilinear_sample,
@@ -29,8 +28,9 @@ from epifuse.sampler import (
     clip_lines,
     epipolar_samples,
     load_feature_map,
-    sample_locations,
+    plan_epipolar_sampling,
     save_feature_map,
+    segment_reads,
 )
 from helpers import random_camera_pair, rectified_pair, visible_point
 
@@ -57,7 +57,7 @@ class TestClipLine:
     def test_horizontal_line(self):
         seg = clip_line_to_image(normalize_line([0.0, -1.0, 5.0]), 10, 10)
         assert seg is not None
-        assert (seg.x0, seg.y0, seg.x1, seg.y1) == (0.0, 5.0, 9.0, 5.0)
+        assert seg.tolist() == [0.0, 5.0, 9.0, 5.0]
 
     def test_line_outside_image(self):
         assert clip_line_to_image(normalize_line([0.0, -1.0, 20.0]), 10, 10) is None
@@ -77,22 +77,22 @@ class TestClipLine:
             return
         assert oracle is not None
         (ox0, oy0), (ox1, oy1) = oracle
-        got = {(round(seg.x0, 9), round(seg.y0, 9)), (round(seg.x1, 9), round(seg.y1, 9))}
+        x0, y0, x1, y1 = seg.tolist()
+        got = {(round(x0, 9), round(y0, 9)), (round(x1, 9), round(y1, 9))}
         want = {(round(ox0, 9), round(oy0, 9)), (round(ox1, 9), round(oy1, 9))}
         assert got == want
         # Endpoints inside the rect, on the line, ordered by (x, y).
-        for x, y in ((seg.x0, seg.y0), (seg.x1, seg.y1)):
+        for x, y in ((x0, y0), (x1, y1)):
             assert -1e-9 <= x <= 31 + 1e-9 and -1e-9 <= y <= 23 + 1e-9
             assert abs(line.distance(x, y)) < 1e-9
-        assert (seg.x0, seg.y0) <= (seg.x1, seg.y1)
+        assert (x0, y0) <= (x1, y1)
 
     def test_corner_touching_line(self):
         # Diagonal through (0, 0) only: a single-point intersection.
         line = normalize_line([1.0, 1.0, 0.0])
         seg = clip_line_to_image(line, 10, 10)
         assert seg is not None
-        assert seg.length == 0.0
-        assert (seg.x0, seg.y0) == (0.0, 0.0)
+        assert seg.tolist() == [0.0, 0.0, 0.0, 0.0]
 
 
 def _bits(values) -> bytes:
@@ -165,7 +165,7 @@ class TestScalarMatchesBatch:
                 assert seg is None
                 continue
             assert seg is not None
-            assert _bits([seg.x0, seg.y0, seg.x1, seg.y1]) == _bits(want)
+            assert _bits(seg) == _bits(want)
 
     def test_plan_samples_the_per_query_points(self):
         # Fed the plan's own raw lines, the per-query kernels place every
@@ -188,29 +188,33 @@ class TestScalarMatchesBatch:
                 seg = None
             assert (seg is not None) == valid
             if seg is not None:
-                assert _bits(sample_locations(seg, k)) == _bits(next(locations))
+                assert _bits(segment_reads(seg[None], k, (16, 16))[0]) == _bits(next(locations))
         assert next(locations, None) is None
+
+
+def sample_locations(ends, k):
+    """(K, 2) locations of segment_reads along one (x0, y0, x1, y1) segment."""
+    return segment_reads(np.array([ends], dtype=np.float64), k, (20, 20))[0][0]
 
 
 class TestSampleLocations:
     def test_uniform_spacing(self):
-        seg = Segment2D(0.0, 0.0, 9.0, 0.0)
-        pts = sample_locations(seg, 4)
+        pts = sample_locations((0.0, 0.0, 9.0, 0.0), 4)
         assert np.allclose(pts[:, 0], [0.0, 3.0, 6.0, 9.0])
         assert np.allclose(pts[:, 1], 0.0)
 
     def test_single_sample_is_midpoint(self):
-        pts = sample_locations(Segment2D(2.0, 4.0, 6.0, 8.0), 1)
+        pts = sample_locations((2.0, 4.0, 6.0, 8.0), 1)
         assert np.allclose(pts, [[4.0, 6.0]])
 
     def test_degenerate_segment(self):
-        pts = sample_locations(Segment2D(5.0, 5.0, 5.0, 5.0), 8)
+        pts = sample_locations((5.0, 5.0, 5.0, 5.0), 8)
         assert np.allclose(pts, 5.0)
         assert pts.shape == (8, 2)
 
     @given(st.integers(2, 64))
     def test_constant_spacing(self, k):
-        pts = sample_locations(Segment2D(1.0, 2.0, 17.0, 9.0), k)
+        pts = sample_locations((1.0, 2.0, 17.0, 9.0), k)
         steps = np.linalg.norm(np.diff(pts, axis=0), axis=1)
         assert np.all(np.abs(steps - steps[0]) < 1e-9)
         assert np.allclose(pts[0], [1.0, 2.0])

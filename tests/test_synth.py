@@ -1,7 +1,7 @@
 import json
 import sys
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -351,6 +351,27 @@ class TestScenarioConfig:
     def test_bool_rejected_for_int(self):
         with pytest.raises(ConfigError, match="cameras"):
             scenario_from_dict({"cameras": True})
+
+    @pytest.mark.parametrize("key, raw, message", [
+        ("cameras", 3.0, "config key 'cameras' must be an integer"),
+        ("K", "64", "config key 'K' must be an integer"),
+        ("seed", None, "config key 'seed' must be an integer"),
+        ("map_wh", 2.5, "config key 'map_wh' must be an integer"),
+        ("angle_deg", "24", "config key 'angle_deg' must be a number"),
+        ("noise_px", False, "config key 'noise_px' must be a number"),
+        ("variant", 1, "config key 'variant' must be a string"),
+    ])
+    def test_wrong_kind_named(self, key, raw, message):
+        with pytest.raises(ConfigError) as exc:
+            scenario_from_dict({key: raw})
+        assert str(exc.value) == message
+
+    def test_kinds_come_from_annotations(self):
+        # Every field has a kind the reader handles; numbers become floats.
+        kinds = {f.type for f in fields(ScenarioConfig)}
+        assert kinds == {"int", "float", "str", "int | None"}
+        cfg = scenario_from_dict({"angle_deg": 20, "map_wh": None})
+        assert type(cfg.angle_deg) is float and cfg.map_wh is None
 
     def test_defaults_fill_missing_keys(self):
         cfg = scenario_from_dict({"cameras": 3})

@@ -11,9 +11,14 @@ from epifuse.triangulation import (
     load_observations,
     ransac_triangulate,
     reprojection_error,
-    save_observations,
 )
-from helpers import look_at_camera, random_camera, rectified_pair, visible_point
+from helpers import (
+    look_at_camera,
+    random_camera,
+    rectified_pair,
+    save_observations,
+    visible_point,
+)
 
 
 def ring_cameras(n, radius=800.0, focal=120.0, wh=96):
