@@ -45,7 +45,7 @@ from .synth import (
     run_scenario,
     similarity_profile,
 )
-from .triangulation import Observation, dlt_triangulate, load_observations, ransac_triangulate
+from .triangulation import dlt_triangulate, load_observations, ransac_triangulate
 
 _FORMAT_NOTES = """\
 file formats:
@@ -157,18 +157,20 @@ def cmd_triangulate(args: argparse.Namespace) -> int:
     points: list[np.ndarray] = []
     confidences: list[float] = []
     for seq, joint_id in zip(seeds, sorted(by_joint)):
-        obs = [Observation(cameras[v], np.array([x, y])) for v, x, y in by_joint[joint_id]]
-        if len(obs) < 2:
+        seen = by_joint[joint_id]
+        if len(seen) < 2:
             print(f"warning: joint {joint_id} seen once, skipped", file=sys.stderr)
             continue
+        cams = np.stack([cameras[v].M for v, _, _ in seen])
+        pixels = np.array([(x, y) for _, x, y in seen])
         try:
             if args.plain:
-                point = dlt_triangulate(obs)
+                point = dlt_triangulate(cams, pixels)
                 confidence = 1.0
             else:
-                result = ransac_triangulate(obs, args.threshold, args.iterations, seq)
+                result = ransac_triangulate(cams, pixels, args.threshold, args.iterations, seq)
                 point = result.point
-                confidence = float(np.sum(result.inliers)) / len(obs)
+                confidence = float(np.sum(result.inliers)) / len(seen)
         except (Degenerate, NoConsensus) as exc:
             print(f"warning: joint {joint_id} not triangulated: {exc}", file=sys.stderr)
             continue

@@ -28,10 +28,6 @@ class SingularAffine(EpifuseError):
     """Affine image transform is not invertible."""
 
 
-class AtInfinity(EpifuseError):
-    """Projection is undefined: the point lies on the principal plane."""
-
-
 # -- fusion -----------------------------------------------------------------
 
 class ShapeMismatch(EpifuseError):

@@ -27,7 +27,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
-    AtInfinity,
     CoincidentCenters,
     ConfigError,
     DegenerateLine,
@@ -292,17 +291,6 @@ def camera_at_resolution(cam: CameraView, width: int, height: int) -> CameraView
 @lru_cache(maxsize=CAMERA_CACHE)
 def _rescaled(cam: CameraView, width: int, height: int) -> CameraView:
     return rescale_camera(cam, cam.width / width, cam.height / height)
-
-
-def project(cam: CameraView, x: np.ndarray) -> np.ndarray:
-    """Pixel projection of a 3D point (mm). Raises AtInfinity when |w| ~ 0."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (3,):
-        raise ValueError("expected a 3D point")
-    q = cam.M @ np.array([x[0], x[1], x[2], 1.0])
-    if abs(q[2]) < PROJECTION_W:
-        raise AtInfinity("point projects to infinity (principal plane)")
-    return q[:2] / q[2]
 
 
 # -- camera file I/O ---------------------------------------------------------

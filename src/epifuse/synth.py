@@ -47,7 +47,7 @@ from .fusion import (
 from .geometry import PROJECTION_W, CameraView, camera_at_resolution
 from .metrics import argmax_peak, jdr, mpjpe
 from .sampler import FeatureMap, plan_epipolar_sampling, sample_parameters
-from .triangulation import Observation, ransac_triangulate
+from .triangulation import ransac_triangulate
 
 
 @dataclass(eq=False)
@@ -424,19 +424,18 @@ def _triangulate_joints(
 ) -> tuple[np.ndarray, np.ndarray, list[int | None]]:
     n_joints = detections.shape[1]
     seeds = entropy.spawn(n_joints)
+    stack = np.stack([cam.M for cam in cams_m])
     points = np.zeros((n_joints, 3))
     valid = np.zeros(n_joints, dtype=bool)
     inliers: list[int | None] = [None] * n_joints
     for j in range(n_joints):
-        obs = [
-            Observation(cams_m[r], detections[r, j])
-            for r in range(detections.shape[0])
-            if visible[r, j]
-        ]
-        if len(obs) < 2:
+        seen = visible[:, j]
+        if np.sum(seen) < 2:
             continue
         try:
-            result = ransac_triangulate(obs, threshold_px, iterations, seeds[j])
+            result = ransac_triangulate(
+                stack[seen], detections[seen, j], threshold_px, iterations, seeds[j]
+            )
         except (NoConsensus, Degenerate):
             continue
         points[j] = result.point

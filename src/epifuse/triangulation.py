@@ -1,6 +1,8 @@
 """DLT triangulation and a RANSAC wrapper robust to corrupted detections.
 
-The direct linear transform stacks, per observation, the rows
+A joint's detections are two arrays: a (n, 3, 4) stack of projection
+matrices and the (n, 2) pixels seen through them. The direct linear
+transform stacks, per view, the rows
 
     x * M[2] - M[0]
     y * M[2] - M[1]
@@ -19,24 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import AtInfinity, ConfigError, Degenerate, NoConsensus
-from .geometry import PROJECTION_W, CameraView, project
-
-
-@dataclass(frozen=True, eq=False)
-class Observation:
-    """A 2D detection of one joint in one view."""
-
-    cam: CameraView
-    p: np.ndarray  # (x, y) pixels
-
-    def __post_init__(self) -> None:
-        p = np.asarray(self.p, dtype=np.float64)
-        if p.shape != (2,) or not np.all(np.isfinite(p)):
-            raise ValueError("observation point must be a finite 2-vector")
-        p = p.copy()
-        p.flags.writeable = False
-        object.__setattr__(self, "p", p)
+from .errors import ConfigError, Degenerate, NoConsensus
+from .geometry import PROJECTION_W
 
 
 @dataclass(eq=False)
@@ -46,24 +32,27 @@ class TriangulationResult:
     rms_reproj: float  # pixels, over the inliers
 
 
-def dlt_triangulate(observations: list[Observation]) -> np.ndarray:
-    """Least-squares 3D point from two or more observations.
+def _norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of (n, d) v.
+
+    A stacked v . v matmul gives each row the bits of 1-D np.linalg.norm;
+    np.linalg.norm(axis=1), einsum and hypot round differently.
+    """
+    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+
+
+def dlt_triangulate(cams: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Least-squares 3D point from (n, 3, 4) cameras and their (n, 2) pixels, n >= 2.
 
     Raises Degenerate when the two smallest singular values of the stacked
     system are within 1e-9 relative, i.e. the solution direction is
     ambiguous (coincident views, collinear geometry).
     """
-    if len(observations) < 2:
+    if len(points) < 2:
         raise ValueError("triangulation needs at least two observations")
-    rows = []
-    for obs in observations:
-        m = obs.cam.M
-        for row in (obs.p[0] * m[2] - m[0], obs.p[1] * m[2] - m[1]):
-            norm = np.linalg.norm(row)
-            if norm > 0.0:
-                row = row / norm
-            rows.append(row)
-    a = np.vstack(rows)
+    a = (points[:, :, None] * cams[:, 2:3, :] - cams[:, :2, :]).reshape(-1, 4)
+    norms = _norms(a)
+    a /= np.where(norms > 0.0, norms, 1.0)[:, None]
     _, s, vt = np.linalg.svd(a)
     if s[-2] - s[-1] < 1e-9 * s[0]:
         raise Degenerate("triangulated direction is ambiguous")
@@ -73,26 +62,33 @@ def dlt_triangulate(observations: list[Observation]) -> np.ndarray:
     return x[:3] / x[3]
 
 
-def reprojection_error(cam: CameraView, x: np.ndarray, p: np.ndarray) -> float:
-    """Euclidean pixel distance between project(cam, x) and the detection p."""
-    p = np.asarray(p, dtype=np.float64)
-    return float(np.linalg.norm(project(cam, x) - p))
+def reprojection_errors(cams: np.ndarray, points: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(n,) pixel distances between x (mm) projected by each camera and its detection.
+
+    inf where x lies on a camera's principal plane (|w| < PROJECTION_W).
+    """
+    q = cams @ np.array([x[0], x[1], x[2], 1.0])
+    far = np.abs(q[:, 2]) < PROJECTION_W
+    errors = _norms(q[:, :2] / np.where(far, 1.0, q[:, 2])[:, None] - points)
+    errors[far] = np.inf
+    return errors
 
 
 def ransac_triangulate(
-    observations: list[Observation],
+    cams: np.ndarray,
+    points: np.ndarray,
     threshold_px: float = 5.0,
     iterations: int = 100,
     seed: int | np.random.SeedSequence = 0,
 ) -> TriangulationResult:
     """Consensus triangulation over two-view minimal sets.
 
-    Each iteration triangulates a random pair and counts observations whose
+    Each iteration triangulates a random pair and counts views whose
     reprojection error is strictly below threshold_px. The largest consensus
     wins, with ties broken by lower inlier RMS; the final point is a DLT
     over all inliers. Fully deterministic for a fixed seed.
     """
-    n = len(observations)
+    n = len(points)
     if n < 2:
         raise ValueError("RANSAC needs at least two observations")
     if not (threshold_px > 0.0):
@@ -105,12 +101,12 @@ def ransac_triangulate(
     best_count = 0
     best_rms = np.inf
     for _ in range(iterations):
-        i, j = rng.choice(n, size=2, replace=False)
+        pair = rng.choice(n, size=2, replace=False)
         try:
-            x = dlt_triangulate([observations[i], observations[j]])
+            x = dlt_triangulate(cams[pair], points[pair])
         except Degenerate:
             continue
-        errors = _reprojection_errors(observations, x)
+        errors = reprojection_errors(cams, points, x)
         mask = errors < threshold_px
         count = int(np.sum(mask))
         if count < 2:
@@ -121,20 +117,10 @@ def ransac_triangulate(
 
     if best_mask is None:
         raise NoConsensus("no sampled pair produced two or more inliers")
-    refined = dlt_triangulate([obs for obs, keep in zip(observations, best_mask) if keep])
-    errors = _reprojection_errors(observations, refined)
+    refined = dlt_triangulate(cams[best_mask], points[best_mask])
+    errors = reprojection_errors(cams, points, refined)
     rms = float(np.sqrt(np.mean(errors[best_mask] ** 2)))
     return TriangulationResult(point=refined, inliers=best_mask, rms_reproj=rms)
-
-
-def _reprojection_errors(observations: list[Observation], x: np.ndarray) -> np.ndarray:
-    errors = np.empty(len(observations))
-    for idx, obs in enumerate(observations):
-        try:
-            errors[idx] = reprojection_error(obs.cam, x, obs.p)
-        except AtInfinity:
-            errors[idx] = np.inf
-    return errors
 
 
 # -- observation file I/O -----------------------------------------------------

@@ -7,7 +7,7 @@ import csv
 import numpy as np
 
 from epifuse.fusion import _BLOCK, _attend, _batch_weights
-from epifuse.geometry import CameraView, project
+from epifuse.geometry import PROJECTION_W, CameraView
 from epifuse.triangulation import OBS_FIELDS
 
 
@@ -99,6 +99,43 @@ def pinv_oracle(m) -> np.ndarray:
     """Moore-Penrose pseudo-inverse of m from the reduced SVD."""
     u, s, vt = np.linalg.svd(np.asarray(m, dtype=np.float64), full_matrices=False)
     return (vt.T / s) @ u.T
+
+
+# -- projection oracles -------------------------------------------------------------
+#
+# One camera and one point at a time, against which the library's stacked
+# projection (triangulation.reprojection_errors) and DLT rows must agree bit
+# for bit.
+
+
+def project(cam: CameraView, x) -> np.ndarray:
+    """Pixel projection of a 3D point (mm); ValueError on the camera's principal plane."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (3,):
+        raise ValueError("expected a 3D point")
+    q = cam.M @ np.array([x[0], x[1], x[2], 1.0])
+    if abs(q[2]) < PROJECTION_W:
+        raise ValueError("point projects to infinity (principal plane)")
+    return q[:2] / q[2]
+
+
+def reprojection_error_oracle(cam: CameraView, x, p) -> float:
+    """1-D np.linalg.norm of project(cam, x) - p; inf on the principal plane."""
+    try:
+        return float(np.linalg.norm(project(cam, x) - np.asarray(p, dtype=np.float64)))
+    except ValueError:
+        return np.inf
+
+
+def dlt_oracle(ms, points) -> np.ndarray:
+    """DLT from per-view rows, each scaled by its 1-D np.linalg.norm, row-stacked in Python."""
+    rows = []
+    for m, p in zip(ms, points):
+        for row in (p[0] * m[2] - m[0], p[1] * m[2] - m[1]):
+            norm = np.linalg.norm(row)
+            rows.append(row / norm if norm > 0.0 else row)
+    x = np.linalg.svd(np.vstack(rows))[2][-1]
+    return x[:3] / x[3]
 
 
 # -- scalar fusion oracles ------------------------------------------------------

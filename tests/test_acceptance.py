@@ -19,7 +19,6 @@ from epifuse.geometry import (
     epipolar_line,
     fundamental_matrix,
     normalize_line,
-    project,
     rescale_camera,
 )
 from epifuse.sampler import FeatureMap, bilinear_many, bilinear_sample, epipolar_samples
@@ -31,8 +30,8 @@ from epifuse.synth import (
     run_pipeline,
     run_scenario,
 )
-from epifuse.triangulation import Observation, dlt_triangulate, ransac_triangulate
-from helpers import random_camera, random_camera_pair, rectified_pair
+from epifuse.triangulation import dlt_triangulate, ransac_triangulate
+from helpers import project, random_camera, random_camera_pair, rectified_pair
 from test_fusion import misaligned_rectified_pair
 
 
@@ -221,6 +220,7 @@ def test_criterion_07_ransac_excludes_corrupted_views():
     # of 100 trials, and the recovered point has to stay within 3x the error
     # of a clean 8-view triangulation.
     rig = make_rig(10, 24.0, 2000.0, (128, 128), 150.0, seed=0)
+    cams = np.stack([c.M for c in rig.cameras])
     excluded = 0
     errs = []
     errs_clean = []
@@ -232,13 +232,14 @@ def test_criterion_07_ransac_excludes_corrupted_views():
         for v in bad:
             direction = rng.standard_normal(2)
             pixels[v] = pixels[v] + 50.0 * direction / np.linalg.norm(direction)
-        obs = [Observation(c, p) for c, p in zip(rig.cameras, pixels)]
-        result = ransac_triangulate(obs, threshold_px=5.0, iterations=100, seed=trial)
+        pixels = np.array(pixels)
+        result = ransac_triangulate(cams, pixels, threshold_px=5.0, iterations=100, seed=trial)
         if not result.inliers[bad].any():
             excluded += 1
         errs.append(float(np.linalg.norm(result.point - x)))
-        clean = [o for v, o in enumerate(obs) if v not in set(bad.tolist())]
-        errs_clean.append(float(np.linalg.norm(dlt_triangulate(clean) - x)))
+        clean = np.ones(10, dtype=bool)
+        clean[bad] = False
+        errs_clean.append(float(np.linalg.norm(dlt_triangulate(cams[clean], pixels[clean]) - x)))
     ratio = float(np.median(errs) / np.median(errs_clean))
     ok = excluded >= 95 and ratio <= 3.0
     assert _verdict(

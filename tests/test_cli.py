@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from epifuse.cli import main
-from epifuse.geometry import load_rig_file, project
+from epifuse.geometry import load_rig_file
 from epifuse.metrics import jdr, load_pose_csv, mpjpe, save_pose_csv
 from epifuse.sampler import load_feature_map
 from epifuse.synth import ScenarioConfig, scenario_to_dict, similarity_profile
-from epifuse.triangulation import Observation, dlt_triangulate, load_observations
-from helpers import save_observations
+from epifuse.triangulation import dlt_triangulate, load_observations
+from helpers import project, save_observations
 
 SMALL_DICT = {
     "cameras": 4,
@@ -243,9 +243,10 @@ class TestTriangulate:
                    "--out", str(out), "--plain"])
         assert rc == 0
         _, points, confs = load_pose_csv(out)
+        stack = np.stack([cam.M for cam in cams])
         for j, x in enumerate(joints):
-            obs = [Observation(cam, project(cam, x)) for cam in cams]
-            assert np.array_equal(points[j], dlt_triangulate(obs))
+            pixels = np.array([project(cam, x) for cam in cams])
+            assert np.array_equal(points[j], dlt_triangulate(stack, pixels))
         assert np.allclose(confs, 1.0)
 
     def test_unknown_view_exits_2(self, tmp_path, capsys):

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epifuse.errors import (
-    AtInfinity,
     CoincidentCenters,
     ConfigError,
     DegenerateLine,
@@ -22,7 +21,6 @@ from epifuse.geometry import (
     fundamental_matrix,
     load_rig_file,
     normalize_line,
-    project,
     rescale_camera,
     rig_to_json,
     skew,
@@ -32,6 +30,7 @@ from helpers import (
     center_oracle,
     look_at_camera,
     pinv_oracle,
+    project,
     random_camera,
     random_camera_pair,
     rectified_pair,
@@ -390,6 +389,8 @@ class TestRescaleCamera:
 
 
 class TestProject:
+    """The projection oracle in tests/helpers.py, which the geometry tests read."""
+
     def test_canonical(self):
         cam = CameraView(np.hstack([np.eye(3), np.zeros((3, 1))]), 4, 4)
         assert np.allclose(project(cam, [0.0, 0.0, 5.0]), [0.0, 0.0])
@@ -406,7 +407,7 @@ class TestProject:
 
     def test_principal_plane_point(self):
         cam = CameraView(np.hstack([np.eye(3), np.zeros((3, 1))]), 4, 4)
-        with pytest.raises(AtInfinity):
+        with pytest.raises(ValueError, match="principal plane"):
             project(cam, [1.0, 1.0, 0.0])
 
 

@@ -15,10 +15,9 @@ from epifuse.fusion import (
     plan_epipolar_sampling,
     transformer_forward,
 )
-from epifuse.geometry import project
 from epifuse.sampler import FeatureMap, epipolar_samples
-from epifuse.triangulation import Observation, ransac_triangulate
-from helpers import look_at_camera, rectified_pair
+from epifuse.triangulation import ransac_triangulate
+from helpers import look_at_camera, project, rectified_pair
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
@@ -107,8 +106,9 @@ def test_tracer_counters_read_real_library_results():
     tracer._after_transformer_forward(args, {"plan": plan},
                                       transformer_forward(*args, plan=plan))
     cams = [look_at_camera((900.0 * np.cos(a), 900.0 * np.sin(a), 200.0)) for a in (0, 1, 2)]
-    obs = [Observation(cam, project(cam, np.zeros(3))) for cam in cams]
-    tracer._after_ransac_triangulate((obs,), {}, ransac_triangulate(obs))
+    stack = np.stack([cam.M for cam in cams])
+    pixels = np.array([project(cam, np.zeros(3)) for cam in cams])
+    tracer._after_ransac_triangulate((stack, pixels), {}, ransac_triangulate(stack, pixels))
     for p in ((3.0, 4.0), (3.0, 100.0)):
         query = (f_src, ref, src, np.array(p), 4)
         tracer._after_epipolar_samples(query, {}, epipolar_samples(*query))

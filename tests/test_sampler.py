@@ -14,7 +14,6 @@ from epifuse.geometry import (
     fundamental_matrix,
     normalize_line,
     normalize_lines,
-    project,
     rescale_camera,
 )
 from epifuse.sampler import (
@@ -32,7 +31,7 @@ from epifuse.sampler import (
     save_feature_map,
     segment_reads,
 )
-from helpers import random_camera_pair, rectified_pair, visible_point
+from helpers import project, random_camera_pair, rectified_pair, visible_point
 
 
 def liang_barsky(a, b, c, width, height):

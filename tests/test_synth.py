@@ -14,7 +14,7 @@ from epifuse.errors import (
     InvalidAngle,
 )
 from epifuse.fusion import FusionParams, transformer_forward
-from epifuse.geometry import CameraView, project
+from epifuse.geometry import CameraView
 from epifuse.sampler import epipolar_samples
 from epifuse.synth import (
     Rig,
@@ -33,7 +33,7 @@ from epifuse.synth import (
     scenario_to_dict,
     similarity_profile,
 )
-from helpers import attention_weights
+from helpers import attention_weights, project
 
 SMALL = ScenarioConfig(
     cameras=4,

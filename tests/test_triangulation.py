@@ -4,18 +4,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epifuse.errors import ConfigError, Degenerate, NoConsensus
-from epifuse.geometry import CameraView, project
+from epifuse.geometry import CameraView
 from epifuse.triangulation import (
-    Observation,
     dlt_triangulate,
     load_observations,
     ransac_triangulate,
-    reprojection_error,
+    reprojection_errors,
 )
 from helpers import (
+    dlt_oracle,
     look_at_camera,
+    project,
     random_camera,
     rectified_pair,
+    reprojection_error_oracle,
     save_observations,
     visible_point,
 )
@@ -30,20 +32,22 @@ def ring_cameras(n, radius=800.0, focal=120.0, wh=96):
     return cams
 
 
+def stack(cams):
+    return np.stack([cam.M for cam in cams])
+
+
 def observe(cams, x, noise=None, rng=None):
-    obs = []
-    for cam in cams:
-        p = project(cam, x)
-        if noise is not None:
-            p = p + rng.normal(0.0, noise, 2)
-        obs.append(Observation(cam, p))
-    return obs
+    """(n, 3, 4) camera stack and the (n, 2) projections of x, optionally noisy."""
+    points = np.array([project(cam, x) for cam in cams])
+    if noise is not None:
+        points = points + rng.normal(0.0, noise, points.shape)
+    return stack(cams), points
 
 
 class TestDLT:
     def test_recovers_point_from_four_views(self):
         x = np.array([40.0, -25.0, 60.0])
-        got = dlt_triangulate(observe(ring_cameras(4), x))
+        got = dlt_triangulate(*observe(ring_cameras(4), x))
         assert np.linalg.norm(got - x) < 1e-8
 
     def test_rectified_stereo_depth(self):
@@ -52,9 +56,9 @@ class TestDLT:
         ref, src = rectified_pair(baseline=baseline, width=32, height=32)
         focal = ref.M[0, 0]
         x = np.array([5.0, -3.0, 400.0])
-        p_ref, p_src = project(ref, x), project(src, x)
-        disparity = p_ref[0] - p_src[0]
-        got = dlt_triangulate([Observation(ref, p_ref), Observation(src, p_src)])
+        cams, points = observe([ref, src], x)
+        disparity = points[0, 0] - points[1, 0]
+        got = dlt_triangulate(cams, points)
         assert abs(got[2] - focal * baseline / disparity) < 1e-9
         assert np.linalg.norm(got - x) < 1e-9
 
@@ -65,67 +69,94 @@ class TestDLT:
         cams = [random_camera(rng) for _ in range(3)]
         x = visible_point(rng, cams)
         scaled = [CameraView(c.M * rng.uniform(0.1, 10.0), c.width, c.height) for c in cams]
-        base = dlt_triangulate(observe(cams, x))
-        got = dlt_triangulate(observe(scaled, x))
+        base = dlt_triangulate(*observe(cams, x))
+        got = dlt_triangulate(*observe(scaled, x))
         assert np.linalg.norm(base - got) < 1e-9
 
     def test_duplicate_observation_keeps_recovery(self):
         x = np.array([-30.0, 10.0, 45.0])
-        cams = ring_cameras(3)
-        obs = observe(cams, x)
-        base = np.linalg.norm(dlt_triangulate(obs) - x)
-        dup = np.linalg.norm(dlt_triangulate(obs + [obs[0]]) - x)
+        cams, points = observe(ring_cameras(3), x)
+        base = np.linalg.norm(dlt_triangulate(cams, points) - x)
+        dup = np.linalg.norm(dlt_triangulate(cams[[0, 1, 2, 0]], points[[0, 1, 2, 0]]) - x)
         assert dup < max(base, 1e-9) + 1e-12
 
     def test_coincident_views_degenerate(self):
-        cam = ring_cameras(3)[0]
-        p = project(cam, np.array([10.0, 0.0, 20.0]))
+        cams, points = observe(ring_cameras(3)[:1] * 2, np.array([10.0, 0.0, 20.0]))
         with pytest.raises(Degenerate):
-            dlt_triangulate([Observation(cam, p), Observation(cam, p)])
+            dlt_triangulate(cams, points)
 
     def test_needs_two_observations(self):
-        cam = ring_cameras(3)[0]
+        cams = stack(ring_cameras(3)[:1])
         with pytest.raises(ValueError):
-            dlt_triangulate([Observation(cam, np.array([1.0, 1.0]))])
+            dlt_triangulate(cams, np.array([[1.0, 1.0]]))
+
+    def test_matches_row_oracle_bit_for_bit(self):
+        # Stacked rows and their matmul norms against rows built one at a
+        # time and scaled by 1-D np.linalg.norm.
+        rng = np.random.default_rng(11)
+        for n in (2, 3, 5, 10):
+            for _ in range(20):
+                cams = [random_camera(rng) for _ in range(n)]
+                ms, points = observe(cams, visible_point(rng, cams), 1.0, rng)
+                assert np.array_equal(dlt_triangulate(ms, points), dlt_oracle(ms, points))
 
 
 class TestReprojectionError:
     def test_exact_projection_is_zero(self):
         cam = ring_cameras(3)[1]
         x = np.array([12.0, 8.0, -20.0])
-        assert reprojection_error(cam, x, project(cam, x)) == 0.0
+        assert reprojection_errors(*observe([cam], x), x).tolist() == [0.0]
 
     def test_offset_detection(self):
         cam = ring_cameras(3)[1]
         x = np.array([12.0, 8.0, -20.0])
-        p = project(cam, x) + np.array([3.0, 4.0])
-        assert abs(reprojection_error(cam, x, p) - 5.0) < 1e-12
+        cams, points = observe([cam], x)
+        errors = reprojection_errors(cams, points + np.array([3.0, 4.0]), x)
+        assert abs(errors[0] - 5.0) < 1e-12
+
+    def test_matches_scalar_oracle_bit_for_bit(self):
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            cams = [random_camera(rng) for _ in range(6)]
+            x = rng.normal(0.0, 60.0, 3)
+            points = rng.uniform(0.0, 63.0, (6, 2))
+            want = [reprojection_error_oracle(c, x, p) for c, p in zip(cams, points)]
+            assert reprojection_errors(stack(cams), points, x).tolist() == want
+
+    def test_principal_plane_is_inf(self):
+        # [I | 0] sees (1, 1, 0) with w = 0; the second camera sees it finitely.
+        canonical = CameraView(np.hstack([np.eye(3), np.zeros((3, 1))]), 4, 4)
+        cams = [canonical, ring_cameras(3)[0]]
+        x = np.array([1.0, 1.0, 0.0])
+        points = np.array([[1.0, 2.0], [40.0, 50.0]])
+        errors = reprojection_errors(stack(cams), points, x)
+        assert errors[0] == np.inf and np.isfinite(errors[1])
+        assert errors.tolist() == [reprojection_error_oracle(c, x, p)
+                                   for c, p in zip(cams, points)]
 
 
 class TestRansac:
     def test_clean_observations_all_inliers(self):
         x = np.array([25.0, 40.0, -15.0])
-        obs = observe(ring_cameras(5), x)
-        result = ransac_triangulate(obs, threshold_px=2.0, iterations=50, seed=1)
+        cams, points = observe(ring_cameras(5), x)
+        result = ransac_triangulate(cams, points, threshold_px=2.0, iterations=50, seed=1)
         assert result.inliers.all()
         assert np.linalg.norm(result.point - x) < 1e-8
         assert result.rms_reproj < 1e-9
 
     def test_matches_plain_dlt_when_clean(self):
         x = np.array([-18.0, 5.0, 70.0])
-        obs = observe(ring_cameras(4), x)
-        result = ransac_triangulate(obs, threshold_px=1.0, iterations=30, seed=2)
-        want = dlt_triangulate(obs)
+        cams, points = observe(ring_cameras(4), x)
+        result = ransac_triangulate(cams, points, threshold_px=1.0, iterations=30, seed=2)
+        want = dlt_triangulate(cams, points)
         assert np.linalg.norm(result.point - want) < 1e-9
 
     def test_excludes_corrupted_views(self):
         rng = np.random.default_rng(3)
         x = np.array([30.0, -20.0, 55.0])
-        cams = ring_cameras(8)
-        obs = observe(cams, x, noise=0.3, rng=rng)
-        for i in (2, 6):
-            obs[i] = Observation(cams[i], obs[i].p + np.array([40.0, -35.0]))
-        result = ransac_triangulate(obs, threshold_px=3.0, iterations=100, seed=4)
+        cams, points = observe(ring_cameras(8), x, noise=0.3, rng=rng)
+        points[[2, 6]] += np.array([40.0, -35.0])
+        result = ransac_triangulate(cams, points, threshold_px=3.0, iterations=100, seed=4)
         assert not result.inliers[2] and not result.inliers[6]
         assert result.inliers.sum() == 6
         # 0.3 px noise at this focal length and range is a few mm of lever.
@@ -134,17 +165,17 @@ class TestRansac:
     def test_wide_threshold_matches_dlt_over_everything(self):
         rng = np.random.default_rng(5)
         x = np.array([10.0, 10.0, 30.0])
-        obs = observe(ring_cameras(5), x, noise=1.0, rng=rng)
-        result = ransac_triangulate(obs, threshold_px=1e12, iterations=40, seed=6)
+        cams, points = observe(ring_cameras(5), x, noise=1.0, rng=rng)
+        result = ransac_triangulate(cams, points, threshold_px=1e12, iterations=40, seed=6)
         assert result.inliers.all()
-        assert np.linalg.norm(result.point - dlt_triangulate(obs)) < 1e-9
+        assert np.linalg.norm(result.point - dlt_triangulate(cams, points)) < 1e-9
 
     def test_seed_determinism(self):
         rng = np.random.default_rng(7)
         x = np.array([0.0, 15.0, 42.0])
-        obs = observe(ring_cameras(6), x, noise=2.0, rng=rng)
-        a = ransac_triangulate(obs, threshold_px=4.0, iterations=60, seed=8)
-        b = ransac_triangulate(obs, threshold_px=4.0, iterations=60, seed=8)
+        cams, points = observe(ring_cameras(6), x, noise=2.0, rng=rng)
+        a = ransac_triangulate(cams, points, threshold_px=4.0, iterations=60, seed=8)
+        b = ransac_triangulate(cams, points, threshold_px=4.0, iterations=60, seed=8)
         assert np.array_equal(a.point, b.point)
         assert np.array_equal(a.inliers, b.inliers)
         assert a.rms_reproj == b.rms_reproj
@@ -154,38 +185,21 @@ class TestRansac:
         # minimal pair leaves the third view out, but a consensus of two is
         # still accepted, so scatter all three and shrink the threshold.
         rng = np.random.default_rng(9)
-        cams = ring_cameras(3)
         x = np.array([20.0, 20.0, 20.0])
-        obs = [
-            Observation(cam, project(cam, x) + rng.uniform(30.0, 60.0, 2))
-            for cam in cams
-        ]
+        cams, points = observe(ring_cameras(3), x)
+        points = points + rng.uniform(30.0, 60.0, points.shape)
         with pytest.raises(NoConsensus):
-            ransac_triangulate(obs, threshold_px=1e-6, iterations=50, seed=10)
+            ransac_triangulate(cams, points, threshold_px=1e-6, iterations=50, seed=10)
 
     def test_validation(self):
-        cam = ring_cameras(3)[0]
-        obs = [Observation(cam, np.array([1.0, 2.0]))]
+        cams = stack(ring_cameras(3)[:1])
         with pytest.raises(ValueError):
-            ransac_triangulate(obs)
-        obs = observe(ring_cameras(3), np.array([5.0, 5.0, 5.0]))
+            ransac_triangulate(cams, np.array([[1.0, 2.0]]))
+        cams, points = observe(ring_cameras(3), np.array([5.0, 5.0, 5.0]))
         with pytest.raises(ValueError):
-            ransac_triangulate(obs, threshold_px=0.0)
+            ransac_triangulate(cams, points, threshold_px=0.0)
         with pytest.raises(ValueError):
-            ransac_triangulate(obs, iterations=0)
-
-
-class TestObservationValidation:
-    def test_rejects_non_finite_point(self):
-        cam = ring_cameras(3)[0]
-        with pytest.raises(ValueError):
-            Observation(cam, np.array([np.nan, 1.0]))
-
-    def test_point_read_only(self):
-        cam = ring_cameras(3)[0]
-        obs = Observation(cam, np.array([1.0, 2.0]))
-        with pytest.raises(ValueError):
-            obs.p[0] = 9.0
+            ransac_triangulate(cams, points, iterations=0)
 
 
 class TestObservationsIO:
