@@ -9,8 +9,13 @@ transform stacks, per view, the rows
 
 renormalized to unit length so no view dominates through its projective
 scale, and takes the right singular vector of the smallest singular value.
-RANSAC draws two-view minimal sets, gates by reprojection error, and
-re-estimates over the winning consensus set.
+It solves in a conditioned frame X = T X^ centered on the views' cameras
+(Hartley & Zisserman, Multiple View Geometry, 2nd ed., section 4.4): in raw
+millimetres W is a small part of the singular vector, and dividing by it
+amplified the solve's error to 145 mm on a joint every detection of which
+sat within 0.72 px of its true projection. RANSAC draws two-view minimal
+sets, gates by reprojection error, and re-estimates over the winning
+consensus set.
 """
 
 from __future__ import annotations
@@ -41,15 +46,41 @@ def _norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
 
 
-def dlt_triangulate(cams: np.ndarray, points: np.ndarray) -> np.ndarray:
+def conditioning_frame(cams: np.ndarray) -> np.ndarray:
+    """(4, 4) T = [[s I, c], [0, 1]] for a (n, 3, 4) camera stack.
+
+    c is the mean of the camera centers and s their mean distance from it.
+    Identity when a center lies at infinity; raises Degenerate when all
+    centers coincide, as no two views then see depth.
+    """
+    h = np.linalg.svd(cams)[2][:, 3]
+    if np.min(np.abs(h[:, 3])) < PROJECTION_W:
+        return np.eye(4)
+    centers = h[:, :3] / h[:, 3:]
+    c = np.mean(centers, axis=0)
+    s = np.mean(_norms(centers - c))
+    if not s > 0.0:
+        raise Degenerate("all views share one camera center")
+    frame = np.diag([s, s, s, 1.0])
+    frame[:3, 3] = c
+    return frame
+
+
+def dlt_triangulate(
+    cams: np.ndarray, points: np.ndarray, frame: np.ndarray | None = None
+) -> np.ndarray:
     """Least-squares 3D point from (n, 3, 4) cameras and their (n, 2) pixels, n >= 2.
 
-    Raises Degenerate when the two smallest singular values of the stacked
-    system are within 1e-9 relative, i.e. the solution direction is
-    ambiguous (coincident views, collinear geometry).
+    Solves with cams @ frame for X^ and returns frame @ X^; frame defaults to
+    conditioning_frame(cams). Raises Degenerate when the two smallest
+    singular values of the stacked system are within 1e-9 relative, i.e. the
+    solution direction is ambiguous (coincident views, collinear geometry).
     """
     if len(points) < 2:
         raise ValueError("triangulation needs at least two observations")
+    if frame is None:
+        frame = conditioning_frame(cams)
+    cams = cams @ frame
     a = (points[:, :, None] * cams[:, 2:3, :] - cams[:, :2, :]).reshape(-1, 4)
     norms = _norms(a)
     a /= np.where(norms > 0.0, norms, 1.0)[:, None]
@@ -59,7 +90,7 @@ def dlt_triangulate(cams: np.ndarray, points: np.ndarray) -> np.ndarray:
     x = vt[-1]
     if abs(x[3]) < PROJECTION_W * np.linalg.norm(x):
         raise Degenerate("triangulated point lies at infinity")
-    return x[:3] / x[3]
+    return (frame @ x)[:3] / x[3]
 
 
 def reprojection_errors(cams: np.ndarray, points: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -86,7 +117,9 @@ def ransac_triangulate(
     Each iteration triangulates a random pair and counts views whose
     reprojection error is strictly below threshold_px. The largest consensus
     wins, with ties broken by lower inlier RMS; the final point is a DLT
-    over all inliers. Fully deterministic for a fixed seed.
+    over all its views, and the inliers and their RMS are those of that
+    point. Every DLT solves in the joint's one conditioning_frame. Fully
+    deterministic for a fixed seed.
     """
     n = len(points)
     if n < 2:
@@ -96,6 +129,7 @@ def ransac_triangulate(
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
     rng = np.random.default_rng(seed)
+    frame = conditioning_frame(cams)
 
     best_mask: np.ndarray | None = None
     best_count = 0
@@ -103,7 +137,7 @@ def ransac_triangulate(
     for _ in range(iterations):
         pair = rng.choice(n, size=2, replace=False)
         try:
-            x = dlt_triangulate(cams[pair], points[pair])
+            x = dlt_triangulate(cams[pair], points[pair], frame)
         except Degenerate:
             continue
         errors = reprojection_errors(cams, points, x)
@@ -117,10 +151,13 @@ def ransac_triangulate(
 
     if best_mask is None:
         raise NoConsensus("no sampled pair produced two or more inliers")
-    refined = dlt_triangulate(cams[best_mask], points[best_mask])
+    refined = dlt_triangulate(cams[best_mask], points[best_mask], frame)
     errors = reprojection_errors(cams, points, refined)
-    rms = float(np.sqrt(np.mean(errors[best_mask] ** 2)))
-    return TriangulationResult(point=refined, inliers=best_mask, rms_reproj=rms)
+    inliers = errors < threshold_px
+    if np.sum(inliers) < 2:
+        raise NoConsensus("the refined point keeps fewer than two inliers")
+    rms = float(np.sqrt(np.mean(errors[inliers] ** 2)))
+    return TriangulationResult(point=refined, inliers=inliers, rms_reproj=rms)
 
 
 # -- observation file I/O -----------------------------------------------------

@@ -127,15 +127,19 @@ def reprojection_error_oracle(cam: CameraView, x, p) -> float:
         return np.inf
 
 
-def dlt_oracle(ms, points) -> np.ndarray:
-    """DLT from per-view rows, each scaled by its 1-D np.linalg.norm, row-stacked in Python."""
+def dlt_oracle(ms, points, frame=np.eye(4)) -> np.ndarray:
+    """DLT from per-view rows of m @ frame, each scaled by its 1-D np.linalg.norm.
+
+    Rows are stacked one at a time in Python; returns frame @ x, dehomogenized.
+    """
     rows = []
     for m, p in zip(ms, points):
+        m = m @ frame
         for row in (p[0] * m[2] - m[0], p[1] * m[2] - m[1]):
             norm = np.linalg.norm(row)
             rows.append(row / norm if norm > 0.0 else row)
     x = np.linalg.svd(np.vstack(rows))[2][-1]
-    return x[:3] / x[3]
+    return (frame @ x)[:3] / x[3]
 
 
 # -- scalar fusion oracles ------------------------------------------------------
