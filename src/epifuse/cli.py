@@ -89,6 +89,13 @@ def _apply_overrides(config: ScenarioConfig, args: argparse.Namespace) -> Scenar
 
 
 def cmd_rig_gen(args: argparse.Namespace) -> int:
+    _check_flags(
+        ("--cameras", args.cameras >= 2, "at least 2"),
+        ("--radius", 0.0 < args.radius < math.inf, "positive and finite"),
+        ("--image-wh", args.image_wh >= 1, "at least 1"),
+        ("--focal", 0.0 < args.focal < math.inf, "positive and finite"),
+        ("--seed", args.seed >= 0, "non-negative"),
+    )
     rig = make_rig(args.cameras, args.angle, args.radius, args.image_wh, args.focal, args.seed)
     _write_text(Path(args.out), rig_to_json(rig.cameras))
     print(f"wrote {args.cameras}-camera rig to {args.out}")
@@ -96,6 +103,12 @@ def cmd_rig_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_scene_gen(args: argparse.Namespace) -> int:
+    _check_flags(
+        ("--joints", args.joints >= 1, "at least 1"),
+        ("--extent", 0.0 < args.extent < math.inf, "positive and finite"),
+        ("--channels", args.channels >= 4, "at least 4"),
+        ("--seed", args.seed >= 0, "non-negative"),
+    )
     scene = make_scene(args.joints, args.extent, args.channels, args.seed)
     obj = {
         "joints": [[float(v) for v in row] for row in scene.joints],
@@ -143,6 +156,11 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 
 def cmd_triangulate(args: argparse.Namespace) -> int:
+    _check_flags(
+        ("--threshold", args.threshold > 0.0, "positive"),
+        ("--iterations", args.iterations >= 1, "at least 1"),
+        ("--seed", args.seed >= 0, "non-negative"),
+    )
     cameras = load_rig_file(args.rig)
     rows = load_observations(args.obs)
     by_joint: dict[int, list[tuple[int, float, float]]] = {}
@@ -215,6 +233,7 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    _check_flags(("--head-size", args.head_size > 0.0, "positive"))
     pred_ids, pred, _ = load_pose_csv(args.pred)
     gt_ids, gt, _ = load_pose_csv(args.gt)
     if len(pred_ids) != len(gt_ids):

@@ -190,6 +190,8 @@ def load_observations(path: str | Path) -> list[tuple[int, int, float, float, fl
                 )
             except ValueError as exc:
                 raise ConfigError(f"{path}: row {line_no}: {exc}") from exc
+            if not np.all(np.isfinite(rows[-1][2:4])):
+                raise ConfigError(f"{path}: row {line_no}: x and y must be finite")
             if not 0.0 <= rows[-1][4] <= 1.0:
                 raise ConfigError(f"{path}: row {line_no}: confidence must lie in [0, 1]")
     if not rows:

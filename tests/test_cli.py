@@ -270,6 +270,18 @@ class TestTriangulate:
         assert not out.exists()
         assert "confidence" in capsys.readouterr().err
 
+    def test_non_finite_point_exits_2(self, tmp_path, capsys, monkeypatch):
+        rig_path, obs_path, _, _ = self.make_inputs(tmp_path)
+        rows = load_observations(obs_path)
+        save_observations([rows[0][:2] + (float("nan"),) + rows[0][3:]] + rows[1:], obs_path)
+        monkeypatch.setattr("epifuse.cli.ransac_triangulate", refuse_compute)
+        out = tmp_path / "pose.csv"
+        rc = main(["triangulate", "--rig", str(rig_path), "--obs", str(obs_path),
+                   "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        assert "row 2: x and y must be finite" in capsys.readouterr().err
+
     def test_header_only_observations_exit_2(self, tmp_path, capsys):
         rig_path, obs_path, _, _ = self.make_inputs(tmp_path)
         obs_path.write_text("view_id,joint_id,x,y,confidence\n")
@@ -323,11 +335,30 @@ def refuse_compute(*args, **kwargs):
     (["gradcheck", "--step", "nan"], "--step"),
     (["gradcheck", "--tolerance", "-1"], "--tolerance"),
     (["run", "--config", "unread.json", "--out", "out", "--threads", "0"], "--threads"),
+    (["rig-gen", "--out", "unwritten.json", "--cameras", "1"], "--cameras"),
+    (["rig-gen", "--out", "unwritten.json", "--image-wh", "0"], "--image-wh"),
+    (["rig-gen", "--out", "unwritten.json", "--focal", "0"], "--focal"),
+    (["rig-gen", "--out", "unwritten.json", "--focal", "inf"], "--focal"),
+    (["rig-gen", "--out", "unwritten.json", "--radius", "-5"], "--radius"),
+    (["rig-gen", "--out", "unwritten.json", "--seed", "-1"], "--seed"),
+    (["scene-gen", "--out", "unwritten.json", "--joints", "0"], "--joints"),
+    (["scene-gen", "--out", "unwritten.json", "--channels", "0"], "--channels"),
+    (["scene-gen", "--out", "unwritten.json", "--extent", "inf"], "--extent"),
+    (["scene-gen", "--out", "unwritten.json", "--seed", "-1"], "--seed"),
+    (["eval", "--pred", "unread.csv", "--gt", "unread.csv", "--head-size", "0"], "--head-size"),
+    (["triangulate", "--rig", "unread.json", "--obs", "unread.csv", "--out", "out.csv",
+      "--threshold", "-1"], "--threshold"),
+    (["triangulate", "--rig", "unread.json", "--obs", "unread.csv", "--out", "out.csv",
+      "--threshold", "nan"], "--threshold"),
+    (["triangulate", "--rig", "unread.json", "--obs", "unread.csv", "--out", "out.csv",
+      "--iterations", "0"], "--iterations"),
+    (["triangulate", "--rig", "unread.json", "--obs", "unread.csv", "--out", "out.csv",
+      "--seed", "-1"], "--seed"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_out_of_range_flag_exits_2_before_compute(monkeypatch, capsys, argv, flag):
-    monkeypatch.setattr("epifuse.cli.gradient_check", refuse_compute)
-    monkeypatch.setattr("epifuse.cli.run_scenario", refuse_compute)
-    monkeypatch.setattr("epifuse.cli.load_scenario", refuse_compute)
+    for name in ("gradient_check", "run_scenario", "load_scenario", "make_rig", "make_scene",
+                 "load_pose_csv", "load_rig_file", "load_observations"):
+        monkeypatch.setattr(f"epifuse.cli.{name}", refuse_compute)
     assert main(argv) == 2
     assert f"error: {flag} must be" in capsys.readouterr().err
 
