@@ -292,11 +292,6 @@ def bilinear_many(fmap: FeatureMap, points: np.ndarray) -> np.ndarray:
     return bilinear_gather(flat, fmap.width, corner, blend)
 
 
-def bilinear_sample(fmap: FeatureMap, point: np.ndarray) -> np.ndarray:
-    """C-vector bilinear read at a single (x, y) location."""
-    return bilinear_many(fmap, np.asarray(point, dtype=np.float64)[None, :])[0]
-
-
 def segment_reads(
     ends: np.ndarray, k: int, src_hw: tuple[int, int]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -8,6 +8,7 @@ import numpy as np
 
 from epifuse.fusion import _BLOCK, _attend, _batch_weights
 from epifuse.geometry import PROJECTION_W, CameraView
+from epifuse.sampler import bilinear_many
 from epifuse.triangulation import OBS_FIELDS
 
 
@@ -140,6 +141,11 @@ def dlt_oracle(ms, points, frame=np.eye(4)) -> np.ndarray:
             rows.append(row / norm if norm > 0.0 else row)
     x = np.linalg.svd(np.vstack(rows))[2][-1]
     return (frame @ x)[:3] / x[3]
+
+
+def bilinear_sample(fmap, point) -> np.ndarray:
+    """C-vector bilinear read at a single (x, y) location, as a one-row bilinear_many."""
+    return bilinear_many(fmap, np.asarray(point, dtype=np.float64)[None, :])[0]
 
 
 # -- scalar fusion oracles ------------------------------------------------------

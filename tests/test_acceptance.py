@@ -21,7 +21,7 @@ from epifuse.geometry import (
     normalize_line,
     rescale_camera,
 )
-from epifuse.sampler import FeatureMap, bilinear_many, bilinear_sample, epipolar_samples
+from epifuse.sampler import FeatureMap, bilinear_many, epipolar_samples
 from epifuse.synth import (
     ScenarioConfig,
     gradient_check,
@@ -31,7 +31,7 @@ from epifuse.synth import (
     run_scenario,
 )
 from epifuse.triangulation import dlt_triangulate, ransac_triangulate
-from helpers import project, random_camera, random_camera_pair, rectified_pair
+from helpers import bilinear_sample, project, random_camera, random_camera_pair, rectified_pair
 from test_fusion import misaligned_rectified_pair
 
 

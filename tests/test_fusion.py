@@ -25,7 +25,6 @@ from epifuse.sampler import (
     FeatureMap,
     _plan_pixels,
     _segments,
-    bilinear_sample,
     bilinear_scatter,
     epipolar_samples,
     plan_epipolar_sampling,

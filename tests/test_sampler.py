@@ -22,7 +22,6 @@ from epifuse.sampler import (
     _plan_pixels,
     bilinear_gather,
     bilinear_plan,
-    bilinear_sample,
     clip_line_to_image,
     clip_lines,
     epipolar_samples,
@@ -31,7 +30,7 @@ from epifuse.sampler import (
     save_feature_map,
     segment_reads,
 )
-from helpers import project, random_camera_pair, rectified_pair, visible_point
+from helpers import bilinear_sample, project, random_camera_pair, rectified_pair, visible_point
 
 
 def liang_barsky(a, b, c, width, height):
