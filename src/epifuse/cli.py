@@ -162,45 +162,32 @@ def cmd_triangulate(args: argparse.Namespace) -> int:
         ("--seed", args.seed >= 0, "non-negative"),
     )
     cameras = load_rig_file(args.rig)
-    rows = load_observations(args.obs)
-    by_joint: dict[int, list[tuple[int, float, float]]] = {}
-    for view_id, joint_id, x, y, _ in rows:
-        if not 0 <= view_id < len(cameras):
-            raise IndexOutOfRange(f"view_id {view_id} outside 0..{len(cameras) - 1}")
-        by_joint.setdefault(joint_id, []).append((view_id, x, y))
+    views, joints, xs, ys, _ = (np.array(col) for col in zip(*load_observations(args.obs)))
+    outside = views[(views < 0) | (views >= len(cameras))]
+    if len(outside):
+        raise IndexOutOfRange(f"view_id {outside[0]} outside 0..{len(cameras) - 1}")
+    stack, pixels = np.stack([cam.M for cam in cameras]), np.stack([xs, ys], axis=1)
 
-    entropy = np.random.SeedSequence(args.seed)
-    seeds = entropy.spawn(len(by_joint))
-    joint_ids: list[int] = []
-    points: list[np.ndarray] = []
-    confidences: list[float] = []
-    for seq, joint_id in zip(seeds, sorted(by_joint)):
-        seen = by_joint[joint_id]
-        if len(seen) < 2:
+    ids = np.unique(joints).tolist()
+    poses = []  # (joint id, point, confidence)
+    for seq, joint_id in zip(np.random.SeedSequence(args.seed).spawn(len(ids)), ids):
+        seen = joints == joint_id
+        if np.sum(seen) < 2:
             print(f"warning: joint {joint_id} seen once, skipped", file=sys.stderr)
             continue
-        cams = np.stack([cameras[v].M for v, _, _ in seen])
-        pixels = np.array([(x, y) for _, x, y in seen])
+        cams, obs = stack[views[seen]], pixels[seen]
         try:
             if args.plain:
-                point = dlt_triangulate(cams, pixels)
-                confidence = 1.0
+                poses.append((joint_id, dlt_triangulate(cams, obs), 1.0))
             else:
-                result = ransac_triangulate(cams, pixels, args.threshold, args.iterations, seq)
-                point = result.point
-                confidence = float(np.sum(result.inliers)) / len(seen)
+                result = ransac_triangulate(cams, obs, args.threshold, args.iterations, seq)
+                poses.append((joint_id, result.point, np.sum(result.inliers) / len(obs)))
         except (Degenerate, NoConsensus) as exc:
             print(f"warning: joint {joint_id} not triangulated: {exc}", file=sys.stderr)
-            continue
-        joint_ids.append(joint_id)
-        points.append(point)
-        confidences.append(confidence)
-    if not joint_ids:
+    if not poses:
         raise Degenerate("no joint could be triangulated")
-    _replace_into(
-        Path(args.out),
-        lambda p: save_pose_csv(joint_ids, np.asarray(points), confidences, p),
-    )
+    joint_ids, points, confidences = zip(*poses)
+    _replace_into(Path(args.out), lambda p: save_pose_csv(joint_ids, points, confidences, p))
     print(f"triangulated {len(joint_ids)} joints to {args.out}")
     return 0
 

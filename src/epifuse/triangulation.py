@@ -9,13 +9,11 @@ transform stacks, per view, the rows
 
 renormalized to unit length so no view dominates through its projective
 scale, and takes the right singular vector of the smallest singular value.
-It solves in a conditioned frame X = T X^ centered on the views' cameras
-(Hartley & Zisserman, Multiple View Geometry, 2nd ed., section 4.4): in raw
-millimetres W is a small part of the singular vector, and dividing by it
-amplified the solve's error to 145 mm on a joint every detection of which
-sat within 0.72 px of its true projection. RANSAC draws two-view minimal
-sets, gates by reprojection error, and re-estimates over the winning
-consensus set.
+It solves for X^ in a frame X = T X^ centered on the cameras (Hartley &
+Zisserman, Multiple View Geometry, 2nd ed., section 4.4): in raw millimetres
+W is a small part of that vector, and dividing by it amplifies the error.
+RANSAC draws two-view minimal sets, gates by reprojection error, and
+re-estimates over the winning consensus set.
 """
 
 from __future__ import annotations
@@ -38,11 +36,7 @@ class TriangulationResult:
 
 
 def _norms(v: np.ndarray) -> np.ndarray:
-    """Euclidean norms of the rows of (n, d) v.
-
-    A stacked v . v matmul gives each row the bits of 1-D np.linalg.norm;
-    np.linalg.norm(axis=1), einsum and hypot round differently.
-    """
+    """Row norms of (n, d) v with the bits of 1-D np.linalg.norm (axis=1 rounds otherwise)."""
     return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
 
 
@@ -94,10 +88,7 @@ def dlt_triangulate(
 
 
 def reprojection_errors(cams: np.ndarray, points: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """(n,) pixel distances between x (mm) projected by each camera and its detection.
-
-    inf where x lies on a camera's principal plane (|w| < PROJECTION_W).
-    """
+    """(n,) pixel distances of x (mm), projected, to the detections; inf if |w| < PROJECTION_W."""
     q = cams @ np.array([x[0], x[1], x[2], 1.0])
     far = np.abs(q[:, 2]) < PROJECTION_W
     errors = _norms(q[:, :2] / np.where(far, 1.0, q[:, 2])[:, None] - points)
@@ -106,10 +97,7 @@ def reprojection_errors(cams: np.ndarray, points: np.ndarray, x: np.ndarray) -> 
 
 
 def ransac_triangulate(
-    cams: np.ndarray,
-    points: np.ndarray,
-    threshold_px: float = 5.0,
-    iterations: int = 100,
+    cams: np.ndarray, points: np.ndarray, threshold_px: float = 5.0, iterations: int = 100,
     seed: int | np.random.SeedSequence = 0,
 ) -> TriangulationResult:
     """Consensus triangulation over two-view minimal sets.
@@ -131,9 +119,7 @@ def ransac_triangulate(
     rng = np.random.default_rng(seed)
     frame = conditioning_frame(cams)
 
-    best_mask: np.ndarray | None = None
-    best_count = 0
-    best_rms = np.inf
+    best_mask, best_count, best_rms = None, 0, np.inf
     for _ in range(iterations):
         pair = rng.choice(n, size=2, replace=False)
         try:
