@@ -336,11 +336,12 @@ def run_pipeline(
     )
     analytic_det = proj + noise_px * analytic_noise
 
+    stack = np.stack([cam.M for cam in cams_m])
     heat_points, heat_valid, heat_inliers = _triangulate_joints(
-        cams_m, detections, visible, ransac_threshold_px, ransac_iterations, s_ransac_heat,
+        stack, detections, visible, ransac_threshold_px, ransac_iterations, s_ransac_heat,
     )
     ana_points, ana_valid, _ = _triangulate_joints(
-        cams_m, analytic_det, visible, ransac_threshold_px, ransac_iterations,
+        stack, analytic_det, visible, ransac_threshold_px, ransac_iterations,
         s_ransac_analytic,
     )
 
@@ -420,11 +421,10 @@ def _view_order(src_of: list[int]) -> list[int]:
 
 
 def _triangulate_joints(
-    cams_m, detections, visible, threshold_px, iterations, entropy
+    stack, detections, visible, threshold_px, iterations, entropy
 ) -> tuple[np.ndarray, np.ndarray, list[int | None]]:
     n_joints = detections.shape[1]
     seeds = entropy.spawn(n_joints)
-    stack = np.stack([cam.M for cam in cams_m])
     points = np.zeros((n_joints, 3))
     valid = np.zeros(n_joints, dtype=bool)
     inliers: list[int | None] = [None] * n_joints

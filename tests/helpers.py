@@ -128,11 +128,13 @@ def reprojection_error_oracle(cam: CameraView, x, p) -> float:
         return np.inf
 
 
-def dlt_oracle(ms, points, frame=np.eye(4)) -> np.ndarray:
+def dlt_oracle(ms, points, frame=None) -> np.ndarray:
     """DLT from per-view rows of m @ frame, each scaled by its 1-D np.linalg.norm.
 
     Rows are stacked one at a time in Python; returns frame @ x, dehomogenized.
+    Without a frame, the unconditioned DLT (an identity frame).
     """
+    frame = np.eye(4) if frame is None else frame
     rows = []
     for m, p in zip(ms, points):
         m = m @ frame

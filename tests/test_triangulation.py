@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epifuse.errors import ConfigError, Degenerate, NoConsensus
 from epifuse import synth
+from epifuse.errors import ConfigError, Degenerate, NoConsensus
 from epifuse.geometry import CameraView
 from epifuse.triangulation import (
     conditioning_frame,
@@ -223,6 +223,16 @@ class TestRansac:
         with pytest.raises(NoConsensus):
             ransac_triangulate(cams, points, threshold_px=1e-6, iterations=50, seed=10)
 
+    def test_refined_point_must_keep_two_inliers(self):
+        # Only the pair of views 0 and 1 gathers two inliers, views 2 and 3
+        # at 0.99 px. The DLT over views 2 and 3 then reprojects 0.81 and
+        # 1.24 px from them, which leaves one view inside the threshold.
+        cams = ring_cameras(8)
+        cams = stack([cams[4], cams[2], cams[3], cams[6]])
+        points = np.array([[62.7, 45.98], [35.55, 38.68], [49.83, 40.57], [62.37, 48.58]])
+        with pytest.raises(NoConsensus, match="refined point"):
+            ransac_triangulate(cams, points, threshold_px=1.1, iterations=50, seed=0)
+
     def test_validation(self):
         cams = stack(ring_cameras(3)[:1])
         with pytest.raises(ValueError):
@@ -242,17 +252,17 @@ class TestDefaultScenario:
         # views as inliers of that point.
         calls = []
 
-        def capture(cams_m, detections, visible, *rest):
-            calls.append((cams_m, detections, visible))
-            return triangulate_joints(cams_m, detections, visible, *rest)
+        def capture(cams, detections, visible, *rest):
+            calls.append((cams, detections, visible))
+            return triangulate_joints(cams, detections, visible, *rest)
 
         triangulate_joints = synth._triangulate_joints
         monkeypatch.setattr(synth, "_triangulate_joints", capture)
         config = synth.ScenarioConfig(seed=4)
         report = synth.run_scenario(config)
-        cams_m, detections, visible = calls[0]  # the heatmap path
+        cams, detections, visible = calls[0]  # the heatmap path
         seen = visible[:, 12]
-        cams, points = stack(cams_m)[seen], detections[seen, 12]
+        cams, points = cams[seen], detections[seen, 12]
         threshold = config.ransac_threshold_px
         assert len(points) == 10
         assert np.all(reprojection_errors(cams, points, dlt_triangulate(cams, points)) < threshold)
