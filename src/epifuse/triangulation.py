@@ -105,9 +105,9 @@ def ransac_triangulate(
     Each iteration triangulates a random pair and counts views whose
     reprojection error is strictly below threshold_px. The largest consensus
     wins, with ties broken by lower inlier RMS; the final point is a DLT
-    over all its views, and the inliers and their RMS are those of that
-    point. Every DLT solves in the joint's one conditioning_frame. Fully
-    deterministic for a fixed seed.
+    over the winning consensus, scored once more: the result's inliers and
+    RMS are that point's own. Every DLT solves in the joint's one
+    conditioning_frame. Fully deterministic for a fixed seed.
     """
     n = len(points)
     if n < 2:
