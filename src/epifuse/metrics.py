@@ -8,6 +8,7 @@ MSE-trained heatmap regressors.
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
 from typing import Sequence
 
@@ -73,10 +74,55 @@ def jdr(
     return float(100.0 * np.mean(d < 0.5 * heads))
 
 
-# -- pose file I/O ------------------------------------------------------------
+# -- CSV files ----------------------------------------------------------------
 #
-# CSV with header joint_id, x, y[, z], confidence; one joint per row. The z
-# column is present for 3D poses and absent for 2D ones.
+# Observations and poses are CSV with a header line and one record per row.
+# A column named *_id holds an int, and every other column a finite float.
+
+
+def read_csv(path: str | Path, what: str, headers: Sequence[Sequence[str]]) -> dict[int, list]:
+    """{line number: parsed row} of a CSV file whose header is one of headers.
+
+    Blank lines are skipped. Any other departure from the format raises
+    ConfigError naming the file and, past the header, the row.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        first = next(reader, None)
+        if first is None:
+            raise ConfigError(f"{path}: empty {what} file")
+        header = [h.strip() for h in first]
+        if header not in [list(h) for h in headers]:
+            expected = " or ".join(",".join(h) for h in headers)
+            raise ConfigError(f"{path}: expected {what} header {expected}, got {','.join(header)}")
+        rows = {}
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ConfigError(f"{path}: row {line_no} must have {len(header)} columns")
+            try:
+                rows[line_no] = [_parse_field(name, text) for name, text in zip(header, row)]
+            except ValueError as exc:
+                raise ConfigError(f"{path}: row {line_no}: {exc}") from exc
+    if not rows:
+        raise ConfigError(f"{path}: {what} file has a header but no rows")
+    return rows
+
+
+def _parse_field(name: str, text: str) -> int | float:
+    if name.endswith("_id"):
+        return int(text)
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {text.strip()}")
+    return value
+
+
+# A pose has one joint per row: joint_id, x, y[, z], confidence. The z column
+# is present for 3D poses and absent for 2D ones.
+
+POSE_HEADERS = (("joint_id", "x", "y", "z", "confidence"), ("joint_id", "x", "y", "confidence"))
 
 
 def save_pose_csv(
@@ -88,44 +134,15 @@ def save_pose_csv(
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] not in (2, 3):
         raise ValueError("points must be (J, 2) or (J, 3)")
-    dims = points.shape[1]
-    header = ["joint_id", "x", "y", "z", "confidence"] if dims == 3 else [
-        "joint_id", "x", "y", "confidence"]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
+        writer.writerow(POSE_HEADERS[0] if points.shape[1] == 3 else POSE_HEADERS[1])
         for jid, pt, conf in zip(joint_ids, points, confidences):
             writer.writerow([int(jid)] + [repr(float(v)) for v in pt] + [repr(float(conf))])
 
 
 def load_pose_csv(path: str | Path) -> tuple[list[int], np.ndarray, np.ndarray]:
     """Returns (joint_ids, points (J, 2 or 3), confidences)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise ConfigError(f"{path}: empty pose file") from None
-        if header == ["joint_id", "x", "y", "z", "confidence"]:
-            dims = 3
-        elif header == ["joint_id", "x", "y", "confidence"]:
-            dims = 2
-        else:
-            raise ConfigError(f"{path}: unrecognized pose header {','.join(header)}")
-        ids: list[int] = []
-        pts: list[list[float]] = []
-        confs: list[float] = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != dims + 2:
-                raise ConfigError(f"{path}: row {line_no} must have {dims + 2} columns")
-            try:
-                ids.append(int(row[0]))
-                pts.append([float(v) for v in row[1 : 1 + dims]])
-                confs.append(float(row[-1]))
-            except ValueError as exc:
-                raise ConfigError(f"{path}: row {line_no}: {exc}") from exc
-    if not ids:
-        raise ConfigError(f"{path}: pose file has a header but no rows")
-    return ids, np.asarray(pts, dtype=np.float64), np.asarray(confs, dtype=np.float64)
+    rows = list(read_csv(path, "pose", POSE_HEADERS).values())
+    points = np.array([row[1:-1] for row in rows], dtype=np.float64)
+    return [row[0] for row in rows], points, np.array([row[-1] for row in rows])

@@ -18,7 +18,6 @@ re-estimates over the winning consensus set.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,6 +25,7 @@ import numpy as np
 
 from .errors import ConfigError, Degenerate, NoConsensus
 from .geometry import PROJECTION_W
+from .metrics import read_csv
 
 
 @dataclass(eq=False)
@@ -146,40 +146,16 @@ def ransac_triangulate(
     return TriangulationResult(point=refined, inliers=inliers, rms_reproj=rms)
 
 
-# -- observation file I/O -----------------------------------------------------
+# -- observation files --------------------------------------------------------
 #
-# CSV with header view_id, joint_id, x, y, confidence; one detection per row.
+# Header view_id, joint_id, x, y, confidence; one detection per row.
 
 OBS_FIELDS = ("view_id", "joint_id", "x", "y", "confidence")
 
 
 def load_observations(path: str | Path) -> list[tuple[int, int, float, float, float]]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ConfigError(f"{path}: empty observations file") from None
-        if [h.strip() for h in header] != list(OBS_FIELDS):
-            raise ConfigError(
-                f"{path}: expected header {','.join(OBS_FIELDS)}, got {','.join(header)}"
-            )
-        rows = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 5:
-                raise ConfigError(f"{path}: row {line_no} must have 5 columns")
-            try:
-                rows.append(
-                    (int(row[0]), int(row[1]), float(row[2]), float(row[3]), float(row[4]))
-                )
-            except ValueError as exc:
-                raise ConfigError(f"{path}: row {line_no}: {exc}") from exc
-            if not np.all(np.isfinite(rows[-1][2:4])):
-                raise ConfigError(f"{path}: row {line_no}: x and y must be finite")
-            if not 0.0 <= rows[-1][4] <= 1.0:
-                raise ConfigError(f"{path}: row {line_no}: confidence must lie in [0, 1]")
-    if not rows:
-        raise ConfigError(f"{path}: observations file has a header but no rows")
-    return rows
+    rows = read_csv(path, "observations", [OBS_FIELDS])
+    for line_no, row in rows.items():
+        if not 0.0 <= row[4] <= 1.0:
+            raise ConfigError(f"{path}: row {line_no}: confidence must lie in [0, 1]")
+    return [tuple(row) for row in rows.values()]

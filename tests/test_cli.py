@@ -280,7 +280,7 @@ class TestTriangulate:
                    "--out", str(out)])
         assert rc == 2
         assert not out.exists()
-        assert "row 2: x and y must be finite" in capsys.readouterr().err
+        assert "row 2: x must be finite" in capsys.readouterr().err
 
     def test_header_only_observations_exit_2(self, tmp_path, capsys):
         rig_path, obs_path, _, _ = self.make_inputs(tmp_path)
@@ -441,6 +441,18 @@ class TestEval:
                      "--out", str(out)]) == 2
         assert not out.exists()
         assert str(paths[empty]) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_pose_exits_2_before_output(self, tmp_path, capsys, monkeypatch, value):
+        pred, gt = tmp_path / "pred.csv", tmp_path / "gt.csv"
+        self.write_pose(pred, np.zeros((2, 3)))
+        self.write_pose(gt, np.zeros((2, 3)))
+        gt.write_text(gt.read_text().replace("0.0", value, 1))
+        monkeypatch.setattr("epifuse.cli.mpjpe", refuse_compute)
+        assert main(["eval", "--pred", str(pred), "--gt", str(gt)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {gt}: row 2: x must be finite, got {value}" in captured.err
 
 
 class TestHelp:

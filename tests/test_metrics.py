@@ -189,3 +189,18 @@ class TestPoseCSV:
         path.write_text("joint_id,x,y,z,confidence\n")
         with pytest.raises(ConfigError, match="no rows"):
             load_pose_csv(path)
+
+    @pytest.mark.parametrize("row, column", [
+        ("0,nan,2.0,3.0,1.0", "x"), ("0,1.0,2.0,inf,1.0", "z"), ("0,1.0,2.0,3.0,-inf", "confidence"),
+    ])
+    def test_rejects_non_finite_field(self, tmp_path, row, column):
+        path = tmp_path / "pose.csv"
+        path.write_text(f"joint_id,x,y,z,confidence\n\n{row}\n")
+        with pytest.raises(ConfigError, match=f"row 3: {column} must be finite"):
+            load_pose_csv(path)
+
+    def test_joint_id_is_an_int(self, tmp_path):
+        path = tmp_path / "pose.csv"
+        path.write_text("joint_id,x,y,confidence\n1.5,1.0,2.0,1.0\n")
+        with pytest.raises(ConfigError, match="row 2: invalid literal for int"):
+            load_pose_csv(path)

@@ -306,7 +306,7 @@ class TestObservationsIO:
         path = tmp_path / "obs.csv"
         for x, y in (("nan", "2.0"), ("1.0", "inf"), ("-inf", "nan")):
             path.write_text(f"view_id,joint_id,x,y,confidence\n0,0,1.0,2.0,1.0\n1,0,{x},{y},1.0\n")
-            with pytest.raises(ConfigError, match="row 3: x and y must be finite"):
+            with pytest.raises(ConfigError, match="row 3: [xy] must be finite"):
                 load_observations(path)
 
     def test_non_numeric_field(self, tmp_path):
