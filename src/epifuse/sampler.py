@@ -318,9 +318,10 @@ class SamplingPlan:
     source map, and ends holds their clipped segments. Their reads' corner
     and blend (segment_reads, K reads per pixel in pixel order: 5 values a
     read) are built on first use, which an unrecorded pass at a zero W_z
-    never makes. Built once per view pair, the plan is reusable across any
-    feature or parameter values at the same resolutions, and it is all the
-    memory an unrecorded forward pass holds besides one block of samples.
+    never makes, _SEGMENT_CHUNK pixels at a time into the final arrays.
+    Built once per view pair, the plan is reusable across any feature or
+    parameter values at the same resolutions, and it is all the memory an
+    unrecorded forward pass holds besides one block of samples.
     """
 
     ref_hw: tuple[int, int]
@@ -331,7 +332,14 @@ class SamplingPlan:
 
     @cached_property
     def _bilinear(self) -> tuple[np.ndarray, np.ndarray]:
-        return segment_reads(self.ends, self.k, self.src_hw)[1:]
+        # Each read's arithmetic is elementwise: a chunk's reads have the same bits alone.
+        n = len(self.ends) * self.k
+        corner, blend = np.empty(n, dtype=np.intp), np.empty((4, n))
+        for lo in range(0, len(self.ends), _SEGMENT_CHUNK):
+            part = segment_reads(self.ends[lo : lo + _SEGMENT_CHUNK], self.k, self.src_hw)
+            rows = slice(lo * self.k, lo * self.k + len(part[1]))
+            corner[rows], blend[:, rows] = part[1:]
+        return corner, blend
 
     corner = property(lambda self: self._bilinear[0], doc="(n_valid*K,) flat top-left corners")
     blend = property(lambda self: self._bilinear[1], doc="(4, n_valid*K) corner weights")

@@ -28,6 +28,7 @@ from epifuse.sampler import (
     bilinear_scatter,
     epipolar_samples,
     plan_epipolar_sampling,
+    segment_reads,
 )
 from helpers import (
     add_at_scatter,
@@ -481,13 +482,13 @@ class TestBlockedForward:
         n_valid = np.count_nonzero(plan.valid)
         assert sum(a.nbytes for a in arrays) == 4 * n_valid * 8 + plan.valid.nbytes
         assert setup < 10.5 * plan.valid.size * 8 + 32 * 1024 * 8
-        # Reading adds 5 values per read (1 corner, 4 blend). Building them
-        # also holds the 2 location values per read and may add 3 read-sized
-        # temporaries (clamped x and y, and the x corner).
+        # Reading adds 5 values per read (1 corner, 4 blend). They are built
+        # 1024 pixels (65,536 reads) at a time, and a chunk's locations, reads
+        # and temporaries measure 18.7 values per read of the chunk.
         reads = plan.corner.size
         assert reads == n_valid * 64
         assert plan.corner.nbytes + plan.blend.nbytes == 5 * reads * 8
-        assert reading < 10.5 * reads * 8
+        assert reading < 5 * reads * 8 + 19 * 1024 * 64 * 8
 
 
     def test_segments_do_not_depend_on_the_block(self):
@@ -726,6 +727,14 @@ class TestLazyPlan:
             cut = first_valid(plan, n_valid)
             assert same_bits(cut.corner, corner[: n_valid * k])
             assert same_bits(cut.blend, blend[:, : n_valid * k])
+
+    def test_reads_built_in_chunks_equal_one_piece(self):
+        # A 48x48 plan builds its reads in three chunks of 1024 pixels.
+        ref, src = general_pair(48)
+        plan = plan_epipolar_sampling(ref, src, (48, 48), (48, 48), 8)
+        assert len(plan.ends) > 2 * 1024
+        _, corner, blend = segment_reads(plan.ends, 8, (48, 48))
+        assert same_bits(plan.corner, corner) and same_bits(plan.blend, blend)
 
 
 class TestParamsValidation:
