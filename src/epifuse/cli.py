@@ -232,7 +232,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         "mpjpe_mm": mpjpe(pred, gt),
         "jdr_pct": jdr(pred, gt, args.head_size),
     }
-    text = json.dumps(out, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(out, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if args.out:
         _write_text(Path(args.out), text)
         print(f"wrote {args.out}")

@@ -183,14 +183,15 @@ def render_descriptor_map(
     projections land in map coordinates. Joints behind the camera are
     omitted; joints outside the map still contribute their Gaussian tail.
     """
-    if not (sigma_px > 0.0):
-        raise ValueError("sigma must be positive")
+    two_var = 2.0 * sigma_px * sigma_px
+    if not (sigma_px > 0.0 and 0.0 < two_var < np.inf):
+        raise ValueError("sigma must be positive, with 2 sigma^2 finite and nonzero")
     cam_m = _camera_at_map_resolution(cam, map_wh)
     mw, mh = cam_m.width, cam_m.height
     data = np.zeros((mh, mw, scene.channels))
     xs = np.arange(mw, dtype=np.float64)
     ys = np.arange(mh, dtype=np.float64)
-    inv = 1.0 / (2.0 * sigma_px * sigma_px)
+    inv = 1.0 / two_var
     for (px, py), desc in zip(_project_joints(cam_m, scene.joints), scene.descriptors):
         if np.isnan(px):
             continue
@@ -498,6 +499,11 @@ def _profile(ref_view: int, src_view: int, locations, weights, dots) -> dict:
 # -- scenario configuration ----------------------------------------------------
 
 
+# Bounds on the config's lengths (mm) and pixel scales. Inside them, every
+# coordinate and its square stay far from float64 overflow and underflow.
+_MIN_SCALE, _MAX_SCALE = 1e-6, 1e9
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Complete description of one synthetic run (JSON-serializable)."""
@@ -524,24 +530,26 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         # Range checks, so a bad config fails as a config error before any compute.
+        scales = f"[{_MIN_SCALE:g}, {_MAX_SCALE:g}]"
         for key, ok, need in (
             ("cameras", self.cameras >= 2, "at least 2"),
             ("joints", self.joints >= 1, "at least 1"), ("seed", self.seed >= 0, "non-negative"),
             ("channels", self.channels >= 4, "at least 4"),
             ("image_wh", self.image_wh >= 2, "at least 2"),
-            ("radius_mm", 0 < self.radius_mm < np.inf, "positive and finite"),
-            ("focal_px", 0 < self.focal_px < np.inf, "positive and finite"),
-            ("extent_mm", 0 < self.extent_mm < np.inf, "positive and finite"),
+            *((key, _MIN_SCALE <= getattr(self, key) <= _MAX_SCALE, f"in {scales}")
+              for key in ("radius_mm", "focal_px", "extent_mm")),
             ("target_angle_deg", 0 <= self.target_angle_deg <= 180, "in [0, 180]"),
             ("angle_deg", 0 < self.angle_deg < 180, "in (0, 180)"),
             ("angle_deg", self.cameras * self.angle_deg <= 360 + 1e-9,
              "at most 360 / cameras, so the rig does not wrap past a full circle"),
-            ("K", self.k >= 1, "at least 1"), ("sigma_px", self.sigma_px > 0, "positive"),
+            ("K", self.k >= 1, "at least 1"),
+            ("sigma_px", self.sigma_px > 0 and 0 < 2 * self.sigma_px * self.sigma_px < np.inf,
+             "positive, with 2 sigma_px^2 finite and nonzero"),
             ("ransac_iterations", self.ransac_iterations >= 1, "at least 1"),
             ("ransac_threshold_px", self.ransac_threshold_px > 0, "positive"),
             ("map_wh", self.map_wh is None or self.map_wh >= 2, "at least 2"),
             ("head_size_px", self.head_size_px > 0, "positive"),
-            ("noise_px", self.noise_px >= 0, "non-negative"),
+            ("noise_px", 0 <= self.noise_px <= _MAX_SCALE, f"in [0, {_MAX_SCALE:g}]"),
             ("variant", self.variant in VARIANTS, f"one of {VARIANTS}"),
             ("weight_mode", self.weight_mode in WEIGHT_MODES, f"one of {WEIGHT_MODES}"),
             ("channels", self.variant != "bottleneck" or self.channels % 2 == 0,
@@ -616,10 +624,35 @@ def build_scenario(
     return rig, scene, params, s_pipe
 
 
+# Bytes a run may hold at once. A config estimated over it fails before any compute.
+_MEMORY_BUDGET = 1 << 30
+
+
+def _check_memory(config: ScenarioConfig, threads: int = 1, keep_fused: bool = False) -> None:
+    """Raise DimsTooLarge when a run of config is estimated to pass _MEMORY_BUDGET.
+
+    A map is map_wh^2 * channels floats. The views that run at once (threads,
+    at most one per camera) hold up to two rendered maps each plus one, and
+    each holds a fused map (all of them when kept), a render temporary, its
+    plan's segment ends (4 floats and a flag a pixel) and its attention reads
+    at the joints' query pixels (K a joint, 4 C + 11 values each).
+    """
+    side = config.map_wh or config.image_wh
+    pixels, views, c = side * side, config.cameras, config.channels
+    t = min(threads, views)
+    maps = min(views, 2 * t + 1) + (views if keep_fused else t) + t
+    reads = config.joints * config.k * (4 * c + 11)
+    need = 8 * maps * pixels * c + t * (33 * pixels + 8 * reads)
+    if need > _MEMORY_BUDGET:
+        raise DimsTooLarge(f"the run would hold about {need >> 20} MB, "
+                           f"over the {_MEMORY_BUDGET >> 20} MB budget")
+
+
 def run_scenario(
     config: ScenarioConfig, threads: int = 1, fused_out: list | None = None
 ) -> PipelineReport:
     """Build the rig, scene, and parameters for a config and run the pipeline."""
+    _check_memory(config, threads, fused_out is not None)
     rig, scene, params, s_pipe = build_scenario(config)
     return run_pipeline(
         rig,
@@ -649,6 +682,7 @@ def similarity_profile(
     its epipolar line misses the source map, and raises IndexOutOfRange for
     indices outside the rig or scene.
     """
+    _check_memory(config)
     rig, scene, params, _ = build_scenario(config)
     last_view = rig.n_views - 1
     if not 0 <= ref_view <= last_view:
@@ -688,8 +722,12 @@ def report_to_dict(report: PipelineReport, config: ScenarioConfig | None = None)
 
 
 def report_json(report: PipelineReport, config: ScenarioConfig | None = None) -> str:
-    """Canonical serialization: sorted keys, so equal reports are equal bytes."""
-    return json.dumps(report_to_dict(report, config), indent=2, sort_keys=True) + "\n"
+    """Canonical serialization: sorted keys, so equal reports are equal bytes.
+
+    A NaN or infinite value raises ValueError: JSON has no spelling for it.
+    """
+    text = json.dumps(report_to_dict(report, config), indent=2, sort_keys=True, allow_nan=False)
+    return text + "\n"
 
 
 # -- gradient verification -------------------------------------------------------

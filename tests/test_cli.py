@@ -1,13 +1,18 @@
 import json
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from epifuse.cli import main
 from epifuse.geometry import load_rig_file
 from epifuse.metrics import jdr, load_pose_csv, mpjpe, save_pose_csv
 from epifuse.sampler import load_feature_map
-from epifuse.synth import ScenarioConfig, scenario_to_dict, similarity_profile
+from epifuse.synth import ScenarioConfig, run_scenario, scenario_to_dict, similarity_profile
 from epifuse.triangulation import dlt_triangulate, load_observations
 from helpers import project, save_observations
 
@@ -93,6 +98,7 @@ class TestRun:
     @pytest.mark.parametrize("key, bad", [
         ("K", {"K": 0}), ("ransac_iterations", {"ransac_iterations": 0}),
         ("ransac_threshold_px", {"ransac_threshold_px": 0}), ("sigma_px", {"sigma_px": -1}),
+        ("sigma_px", {"sigma_px": 1e-300}),
         ("map_wh", {"map_wh": 1}), ("variant", {"variant": "nope"}),
         ("weight_mode", {"weight_mode": "median"}),
         ("channels", {"variant": "bottleneck", "channels": 7}),
@@ -101,6 +107,8 @@ class TestRun:
         ("image_wh", {"image_wh": 1}), ("seed", {"seed": -1}),
         ("radius_mm", {"radius_mm": -5}), ("focal_px", {"focal_px": 0}),
         ("extent_mm", {"extent_mm": 0}), ("focal_px", {"focal_px": float("inf")}),
+        ("extent_mm", {"extent_mm": 1e300}), ("radius_mm", {"radius_mm": 1e-300}),
+        ("noise_px", {"noise_px": 1e300}),
         ("target_angle_deg", {"target_angle_deg": float("nan")}),
         ("target_angle_deg", {"target_angle_deg": 181}),
         ("angle_deg", {"angle_deg": 0.0}), ("angle_deg", {"angle_deg": 200.0}),
@@ -122,9 +130,97 @@ class TestRun:
         assert main(["run", "--config", str(small_config), "--out", str(out), "--k", "0"]) == 2
         assert not out.exists()
 
+    def test_non_finite_metric_exits_3_before_any_file(self, tmp_path, small_config,
+                                                      monkeypatch, capsys):
+        report = run_scenario(ScenarioConfig(cameras=2, joints=1, image_wh=8, k=2))
+        report.mpjpe_mm, report.per_joint[0].error_mm = float("inf"), float("nan")
+        monkeypatch.setattr("epifuse.cli.run_scenario", lambda *args, **kwargs: report)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(small_config), "--out", str(out)]) == 3
+        assert not out.exists()
+        assert "not JSON compliant" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("size", [{"image_wh": 2000}, {"image_wh": 48, "map_wh": 2000}])
+    def test_over_memory_budget_exits_2_before_any_allocation(self, tmp_path, capsys,
+                                                              monkeypatch, size):
+        # One 2000x2000 map of 16 channels is 512 MB.
+        monkeypatch.setattr("epifuse.synth.render_descriptor_map", refuse_compute)
+        cfg = tmp_path / "big.json"
+        cfg.write_text(json.dumps({**SMALL_DICT, "channels": 16, **size}))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert main(["profile", "--config", str(cfg), "--ref-view", "0", "--src-view", "1",
+                     "--joint", "0", "--out", str(out / "p.csv")]) == 2
+        assert not out.exists()
+        assert "MB budget" in capsys.readouterr().err
+
+    def test_memory_budget_counts_threads(self, tmp_path, capsys, monkeypatch):
+        # A 900x900 map of 16 channels is 104 MB: one thread's maps fit the
+        # budget, and four threads' do not.
+        monkeypatch.setattr("epifuse.synth.render_descriptor_map", refuse_compute)
+        cfg = tmp_path / "big.json"
+        cfg.write_text(json.dumps({**SMALL_DICT, "channels": 16, "image_wh": 900}))
+        out = tmp_path / "o"
+        argv = ["run", "--config", str(cfg), "--out", str(out), "--threads"]
+        assert main(argv + ["4"]) == 2
+        assert "MB budget" in capsys.readouterr().err
+        with pytest.raises(AssertionError, match="before any compute"):
+            main(argv + ["1"])
+        assert not out.exists()
+
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "o")]) == 2
+
+
+# Values that no config key admits, by range or by type.
+_WRONG = st.sampled_from([0, 0.0, -1, -2.5, float("nan"), float("inf"), float("-inf"),
+                          "1", None, True, [1]])
+_FLOAT_KEYS = ("radius_mm", "sigma_px", "noise_px", "focal_px", "extent_mm",
+               "ransac_threshold_px", "head_size_px")
+_ANGLE_KEYS = ("angle_deg", "target_angle_deg")
+
+
+@st.composite
+def run_configs(draw):
+    """Small scenarios, floats from [1e-6, 1e6] (angles up to 180); half have one wrong key."""
+    config = draw(st.fixed_dictionaries({
+        "image_wh": st.integers(2, 24), "cameras": st.integers(2, 4),
+        "joints": st.integers(1, 4), "K": st.integers(1, 8), "channels": st.integers(4, 8),
+        "ransac_iterations": st.integers(1, 10),
+    }, optional={
+        "map_wh": st.integers(2, 24), "seed": st.integers(0, 2**32),
+        "variant": st.sampled_from(["identity", "bottleneck"]),
+        "weight_mode": st.sampled_from(["softmax", "max"]),
+        **{key: st.floats(1e-6, 1e6) for key in _FLOAT_KEYS},
+        **{key: st.floats(1e-6, 180.0) for key in _ANGLE_KEYS},
+    }))
+    if draw(st.booleans()):
+        config[draw(st.sampled_from([*config, *_FLOAT_KEYS, *_ANGLE_KEYS]))] = draw(_WRONG)
+    return config
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} in a JSON output")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(run_configs())
+@example({**SMALL_DICT, "image_wh": 24, "sigma_px": 1e-300})
+@example({**SMALL_DICT, "image_wh": 24, "focal_px": 10.0, "extent_mm": 1e300})
+def test_every_run_config_runs_or_exits_before_writing(config):
+    # A run either succeeds with a strict-JSON report, or exits 2 (bad input)
+    # or 3 (numeric failure) with nothing written. Any exception, including
+    # a RuntimeWarning from an overflow, fails the test.
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "config.json", Path(tmp) / "out"
+        path.write_text(json.dumps(config))
+        rc = main(["run", "--config", str(path), "--out", str(out)])
+        if rc == 0:
+            json.loads((out / "report.json").read_text(), parse_constant=_refuse_constant)
+        else:
+            assert rc in (2, 3)
+            assert not out.exists() or not any(out.iterdir())
 
 
 class TestRigSceneGen:
@@ -441,6 +537,20 @@ class TestEval:
                      "--out", str(out)]) == 2
         assert not out.exists()
         assert str(paths[empty]) in capsys.readouterr().err
+
+    def test_overflowing_metric_exits_3(self, tmp_path, capsys):
+        # Finite coordinates whose differences overflow give an infinite MPJPE,
+        # which JSON cannot carry. The CLI, unlike this suite, only warns on overflow.
+        pred, gt = tmp_path / "pred.csv", tmp_path / "gt.csv"
+        self.write_pose(pred, np.full((2, 3), 1e200))
+        self.write_pose(gt, np.full((2, 3), -1e200))
+        out = tmp_path / "report.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            rc = main(["eval", "--pred", str(pred), "--gt", str(gt), "--out", str(out)])
+        assert rc == 3
+        assert not out.exists()
+        assert "not JSON compliant" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_pose_exits_2_before_output(self, tmp_path, capsys, monkeypatch, value):

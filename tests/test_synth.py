@@ -166,6 +166,13 @@ class TestRenderDescriptorMap:
             v = fmap.data[pix[1], pix[0]]
             assert v @ d / np.linalg.norm(v) > 0.999
 
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan"), 1e-300, 1e160])
+    def test_rejects_a_sigma_without_a_finite_nonzero_square(self, sigma):
+        # 1e-300 squares to 0 and 1e160 to inf: 1 / (2 sigma^2) is undefined or 0.
+        rig = make_rig(2, 30.0, 900.0, (16, 16), 20.0, seed=10)
+        with pytest.raises(ValueError, match="sigma"):
+            render_descriptor_map(rig.cameras[0], make_scene(2, 100.0, 4, seed=1), sigma)
+
     def test_map_resolution_override(self):
         rig = make_rig(2, 30.0, 900.0, (64, 64), 60.0, seed=14)
         scene = make_scene(3, 300.0, 8, seed=15)
