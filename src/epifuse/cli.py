@@ -58,6 +58,7 @@ file formats:
   profile CSV     header t,x,y,weight,dot; one row per sample
   observations    CSV header view_id,joint_id,x,y,confidence; confidence in [0, 1]
   pose CSV        header joint_id,x,y[,z],confidence
+                  (in both CSVs *_id columns hold integers, the others finite numbers)
   feature map     binary, magic FMAP + u32 H,W,C + float32 row-major values
 """
 

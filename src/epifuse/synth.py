@@ -546,9 +546,9 @@ class ScenarioConfig:
             ("sigma_px", self.sigma_px > 0 and 0 < 2 * self.sigma_px * self.sigma_px < np.inf,
              "positive, with 2 sigma_px^2 finite and nonzero"),
             ("ransac_iterations", self.ransac_iterations >= 1, "at least 1"),
-            ("ransac_threshold_px", self.ransac_threshold_px > 0, "positive"),
+            ("ransac_threshold_px", 0 < self.ransac_threshold_px < np.inf, "positive and finite"),
             ("map_wh", self.map_wh is None or self.map_wh >= 2, "at least 2"),
-            ("head_size_px", self.head_size_px > 0, "positive"),
+            ("head_size_px", 0 < self.head_size_px < np.inf, "positive and finite"),
             ("noise_px", 0 <= self.noise_px <= _MAX_SCALE, f"in [0, {_MAX_SCALE:g}]"),
             ("variant", self.variant in VARIANTS, f"one of {VARIANTS}"),
             ("weight_mode", self.weight_mode in WEIGHT_MODES, f"one of {WEIGHT_MODES}"),

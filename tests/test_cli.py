@@ -98,7 +98,6 @@ class TestRun:
     @pytest.mark.parametrize("key, bad", [
         ("K", {"K": 0}), ("ransac_iterations", {"ransac_iterations": 0}),
         ("ransac_threshold_px", {"ransac_threshold_px": 0}), ("sigma_px", {"sigma_px": -1}),
-        ("sigma_px", {"sigma_px": 1e-300}),
         ("map_wh", {"map_wh": 1}), ("variant", {"variant": "nope"}),
         ("weight_mode", {"weight_mode": "median"}),
         ("channels", {"variant": "bottleneck", "channels": 7}),
@@ -107,13 +106,15 @@ class TestRun:
         ("image_wh", {"image_wh": 1}), ("seed", {"seed": -1}),
         ("radius_mm", {"radius_mm": -5}), ("focal_px", {"focal_px": 0}),
         ("extent_mm", {"extent_mm": 0}), ("focal_px", {"focal_px": float("inf")}),
-        ("extent_mm", {"extent_mm": 1e300}), ("radius_mm", {"radius_mm": 1e-300}),
-        ("noise_px", {"noise_px": 1e300}),
         ("target_angle_deg", {"target_angle_deg": float("nan")}),
         ("target_angle_deg", {"target_angle_deg": 181}),
         ("angle_deg", {"angle_deg": 0.0}), ("angle_deg", {"angle_deg": 200.0}),
         ("angle_deg", {"cameras": 10, "angle_deg": 40.0}),
         ("angle_deg", {"angle_deg": float("nan")}),
+        ("sigma_px", {"sigma_px": 1e-300}), ("extent_mm", {"extent_mm": 1e300}),
+        ("radius_mm", {"radius_mm": 1e-300}), ("noise_px", {"noise_px": 1e300}),
+        ("head_size_px", {"head_size_px": float("inf")}),
+        ("ransac_threshold_px", {"ransac_threshold_px": float("inf")}),
     ])
     def test_out_of_range_exits_2_before_any_file(self, tmp_path, capsys, key, bad):
         cfg = tmp_path / "bad.json"
