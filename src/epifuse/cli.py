@@ -24,13 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
-    ConfigError,
-    Degenerate,
-    DimsTooLarge,
-    EpifuseError,
-    IndexOutOfRange,
-    LengthMismatch,
-    NoConsensus,
+    ConfigError, Degenerate, EpifuseError, IndexOutOfRange, LengthMismatch, NoConsensus,
 )
 from .geometry import load_rig_file, rig_to_json
 from .metrics import jdr, load_pose_csv, mpjpe, save_pose_csv
@@ -329,15 +323,12 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DimsTooLarge, IndexOutOfRange, LengthMismatch) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (EpifuseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -1,8 +1,10 @@
 """Exception types shared across the toolkit.
 
 Everything numeric or domain-level derives from EpifuseError so callers can
-catch one base class; ConfigError and its siblings mark bad inputs rather
-than bad math (the CLI maps the two groups to different exit codes).
+catch one base class. The type is the exit code: ConfigError and its
+subclasses mark bad input and exit 2; every other EpifuseError, and a
+ValueError (the library's bad-argument type), is a numeric or domain
+failure and exits 3.
 """
 
 
@@ -12,10 +14,6 @@ class EpifuseError(Exception):
 
 # -- geometry ---------------------------------------------------------------
 
-class RankDeficient(EpifuseError):
-    """Projection matrix does not have full row rank."""
-
-
 class CoincidentCenters(EpifuseError):
     """Two views share a camera center; epipolar geometry is undefined."""
 
@@ -24,26 +22,10 @@ class DegenerateLine(EpifuseError):
     """Line has no direction in the image plane (|(a, b)| ~ 0)."""
 
 
-class SingularAffine(EpifuseError):
-    """Affine image transform is not invertible."""
-
-
 # -- fusion -----------------------------------------------------------------
 
 class ShapeMismatch(EpifuseError):
-    """Operands disagree in shape."""
-
-
-class OddChannels(EpifuseError):
-    """Bottleneck fusion needs an even channel count."""
-
-
-class ChannelMismatch(EpifuseError):
-    """Reference and source maps carry different channel counts."""
-
-
-class StateMissing(EpifuseError):
-    """Backward pass requested without a recorded forward state."""
+    """Operands disagree in shape or channel count."""
 
 
 # -- triangulation ----------------------------------------------------------
@@ -56,31 +38,29 @@ class NoConsensus(EpifuseError):
     """RANSAC found no consensus set of at least two observations."""
 
 
-# -- metrics ----------------------------------------------------------------
-
-class LengthMismatch(EpifuseError):
-    """Per-joint sequences disagree in length."""
-
-
 # -- synthetic harness ------------------------------------------------------
-
-class InvalidAngle(EpifuseError):
-    """Requested rig separation angle is outside (0, 180) degrees."""
-
 
 class DescriptorSaturation(EpifuseError):
     """Could not draw enough well-separated descriptors."""
 
 
-# -- configuration / CLI ----------------------------------------------------
+# -- bad input: exit 2 ------------------------------------------------------
 
 class ConfigError(EpifuseError):
     """Malformed or inconsistent configuration input."""
 
 
-class DimsTooLarge(EpifuseError):
+class DimsTooLarge(ConfigError):
     """Requested problem size exceeds the supported bound."""
 
 
-class IndexOutOfRange(EpifuseError):
+class IndexOutOfRange(ConfigError):
     """View or joint index outside the configured scenario."""
+
+
+class LengthMismatch(ConfigError):
+    """Per-joint sequences disagree in length."""
+
+
+class InvalidAngle(ConfigError):
+    """Requested rig separation angle is outside (0, 180) degrees."""

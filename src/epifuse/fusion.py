@@ -31,12 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ChannelMismatch,
-    OddChannels,
-    ShapeMismatch,
-    StateMissing,
-)
+from .errors import ShapeMismatch
 from .geometry import CameraView
 from .sampler import (
     FeatureMap,
@@ -88,7 +83,7 @@ class FusionParams:
         else:
             half, c = w_z.shape
             if c % 2 != 0:
-                raise OddChannels("bottleneck fusion needs an even channel count")
+                raise ShapeMismatch("bottleneck fusion needs an even channel count")
             if half != c // 2:
                 raise ShapeMismatch(f"bottleneck w_z must be ({c // 2}, {c})")
             for name in ("theta", "phi", "g"):
@@ -274,7 +269,7 @@ def transformer_forward(
     of chosen pixels alone, with the same bits.
     """
     if f_ref.channels != f_src.channels:
-        raise ChannelMismatch(f"reference has {f_ref.channels} channels, source {f_src.channels}")
+        raise ShapeMismatch(f"reference has {f_ref.channels} channels, source {f_src.channels}")
     c = f_ref.channels
     if params.channels != c:
         raise ShapeMismatch(f"params are for {params.channels} channels, maps have {c}")
@@ -311,7 +306,7 @@ def transformer_backward(state: _ForwardState | None, grad_fused: np.ndarray) ->
     block by block in a fixed order, so results repeat run to run.
     """
     if state is None:
-        raise StateMissing("forward pass was not run with record_grad=True")
+        raise ValueError("forward pass was not run with record_grad=True")
     plan = state.plan
     params = state.params
     h, w = plan.ref_hw

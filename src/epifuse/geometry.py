@@ -26,13 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    CoincidentCenters,
-    ConfigError,
-    DegenerateLine,
-    RankDeficient,
-    SingularAffine,
-)
+from .errors import CoincidentCenters, ConfigError, DegenerateLine
 
 
 # Degeneracy thresholds shared by the geometry operations:
@@ -69,7 +63,7 @@ class CameraView:
             raise ValueError("image extent must be at least 1x1 pixels")
         s = np.linalg.svd(M, compute_uv=False)
         if s[2] < RANK_REL * s[0]:
-            raise RankDeficient("projection matrix is rank deficient")
+            raise ValueError("projection matrix is rank deficient")
         M.flags.writeable = False
         object.__setattr__(self, "M", M)
         object.__setattr__(self, "width", int(self.width))
@@ -244,7 +238,7 @@ def apply_affine_to_camera(
     if a.shape != (2, 2) or b.shape != (2,):
         raise ValueError("affine update needs a 2x2 matrix and a 2-vector")
     if abs(float(np.linalg.det(a))) < 1e-12:
-        raise SingularAffine("affine image transform is singular")
+        raise ValueError("affine image transform is singular")
     t = np.array(
         [
             [a[0, 0], a[0, 1], b[0]],

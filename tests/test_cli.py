@@ -236,7 +236,7 @@ class TestRigSceneGen:
     def test_rig_gen_invalid_angle(self, tmp_path, capsys):
         rc = main(["rig-gen", "--cameras", "4", "--angle", "0",
                    "--out", str(tmp_path / "rig.json")])
-        assert rc == 3
+        assert rc == 2
         assert not (tmp_path / "rig.json").exists()
 
     def test_scene_gen(self, tmp_path):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epifuse.errors import ChannelMismatch, OddChannels, ShapeMismatch
+from epifuse.errors import ShapeMismatch
 from epifuse.fusion import (
     _BLOCK,
     FusionParams,
@@ -293,7 +293,7 @@ class TestTransformerForward:
         ref, src, f_ref, _ = self.rect_setup(channels=6)
         f_src = FeatureMap(np.zeros((8, 8, 4)))
         params = make_params("identity", "softmax", 6)
-        with pytest.raises(ChannelMismatch):
+        with pytest.raises(ShapeMismatch, match="reference has 6 channels, source 4"):
             transformer_forward(f_ref, f_src, ref, src, params, k=8)
 
     def test_params_width_mismatch(self):
@@ -747,7 +747,7 @@ class TestParamsValidation:
         assert params.theta is None and params.phi is None and params.g is None
 
     def test_bottleneck_odd_channels(self):
-        with pytest.raises(OddChannels):
+        with pytest.raises(ShapeMismatch, match="even channel count"):
             FusionParams.initialize("bottleneck", "softmax", 5)
 
     def test_bottleneck_shape_checks(self):

@@ -5,13 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epifuse.errors import (
-    CoincidentCenters,
-    ConfigError,
-    DegenerateLine,
-    RankDeficient,
-    SingularAffine,
-)
+from epifuse.errors import CoincidentCenters, ConfigError, DegenerateLine
 from epifuse.geometry import (
     CameraView,
     apply_affine_to_camera,
@@ -81,7 +75,7 @@ class TestCameraCenter:
 
     def test_rank_deficient_matrix_rejected(self):
         m = np.vstack([np.eye(2, 4), np.eye(2, 4)[0] + np.eye(2, 4)[1]])
-        with pytest.raises(RankDeficient):
+        with pytest.raises(ValueError, match="rank deficient"):
             CameraView(m, 4, 4)
 
 
@@ -109,7 +103,7 @@ class TestPseudoInverse:
     def test_rank_deficient(self):
         m = np.zeros((3, 4))
         m[0, 0] = m[1, 1] = 1.0
-        with pytest.raises(RankDeficient):
+        with pytest.raises(ValueError, match="rank deficient"):
             CameraView(m, 4, 4)
 
 
@@ -310,7 +304,7 @@ class TestApplyAffineToCamera:
 
     def test_singular_transform(self):
         cam = look_at_camera((400.0, 0.0, 0.0))
-        with pytest.raises(SingularAffine):
+        with pytest.raises(ValueError, match="transform is singular"):
             apply_affine_to_camera(cam, np.zeros((2, 2)), np.zeros(2), 64, 64)
 
     def test_center_preserved(self):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from epifuse.errors import DimsTooLarge, ShapeMismatch, StateMissing
+from epifuse.errors import DimsTooLarge, ShapeMismatch
 from epifuse.fusion import (
     FusionParams,
     similarity_weights,
@@ -104,7 +104,7 @@ class TestBackwardClosedForms:
         assert grads.g.any()
 
     def test_missing_state(self):
-        with pytest.raises(StateMissing):
+        with pytest.raises(ValueError, match="record_grad=True"):
             transformer_backward(None, np.zeros((6, 6, 4)))
 
     def test_forward_without_recording_has_no_state(self):
@@ -115,7 +115,7 @@ class TestBackwardClosedForms:
         params = FusionParams.initialize("identity", "softmax", 4)
         out = transformer_forward(f_ref, f_src, ref, src, params, k=4)
         assert out.state is None
-        with pytest.raises(StateMissing):
+        with pytest.raises(ValueError, match="record_grad=True"):
             transformer_backward(out.state, rng.standard_normal((6, 6, 4)))
 
     def test_grad_shape_check(self):
