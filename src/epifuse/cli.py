@@ -86,6 +86,9 @@ def _apply_overrides(config: ScenarioConfig, args: argparse.Namespace) -> Scenar
 def cmd_rig_gen(args: argparse.Namespace) -> int:
     _check_flags(
         ("--cameras", args.cameras >= 2, "at least 2"),
+        ("--angle", 0.0 < args.angle < 180.0, "in (0, 180)"),
+        ("--angle", args.cameras * args.angle <= 360.0 + 1e-9,
+         "at most 360 / --cameras, so the rig does not wrap past a full circle"),
         ("--radius", 0.0 < args.radius < math.inf, "positive and finite"),
         ("--image-wh", args.image_wh >= 1, "at least 1"),
         ("--focal", 0.0 < args.focal < math.inf, "positive and finite"),

@@ -62,7 +62,7 @@ class CameraView:
         if int(self.width) < 1 or int(self.height) < 1:
             raise ValueError("image extent must be at least 1x1 pixels")
         s = np.linalg.svd(M, compute_uv=False)
-        if s[2] < RANK_REL * s[0]:
+        if not s[2] > RANK_REL * s[0]:  # also rejects the zero matrix
             raise ValueError("projection matrix is rank deficient")
         M.flags.writeable = False
         object.__setattr__(self, "M", M)

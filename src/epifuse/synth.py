@@ -122,7 +122,11 @@ def make_rig(
         y = np.cross(z, x)
         rot = np.stack([x, y, z])
         t = -rot @ center
-        cameras.append(CameraView(intrinsics @ np.hstack([rot, t[:, None]]), w, h))
+        try:
+            cameras.append(CameraView(intrinsics @ np.hstack([rot, t[:, None]]), w, h))
+        except ValueError as exc:
+            raise ConfigError(f"'focal_px' {focal_px:g} and 'radius_mm' {radius_mm:g} "
+                              f"give an invalid camera: {exc}") from exc
         axes.append(z)
     ax = np.asarray(axes)
     angles = np.degrees(np.arccos(np.clip(ax @ ax.T, -1.0, 1.0)))

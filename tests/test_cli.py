@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from epifuse import errors
 from epifuse.cli import main
 from epifuse.geometry import load_rig_file
 from epifuse.metrics import jdr, load_pose_csv, mpjpe, save_pose_csv
@@ -115,6 +116,7 @@ class TestRun:
         ("radius_mm", {"radius_mm": 1e-300}), ("noise_px", {"noise_px": 1e300}),
         ("head_size_px", {"head_size_px": float("inf")}),
         ("ransac_threshold_px", {"ransac_threshold_px": float("inf")}),
+        ("focal_px", {"radius_mm": 1e9, "focal_px": 1e-6}),
     ])
     def test_out_of_range_exits_2_before_any_file(self, tmp_path, capsys, key, bad):
         cfg = tmp_path / "bad.json"
@@ -205,18 +207,24 @@ def _refuse_constant(name):
     raise ValueError(f"{name} in a JSON output")
 
 
+# The run flags that override a config, drawn as a flat argv tail.
+_OVERRIDES = st.fixed_dictionaries({}, optional={
+    "--seed": st.integers(0, 2**32), "--k": st.integers(1, 8), "--threads": st.integers(1, 4),
+}).map(lambda flags: [str(v) for item in flags.items() for v in item])
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(run_configs())
-@example({**SMALL_DICT, "image_wh": 24, "sigma_px": 1e-300})
-@example({**SMALL_DICT, "image_wh": 24, "focal_px": 10.0, "extent_mm": 1e300})
-def test_every_run_config_runs_or_exits_before_writing(config):
+@given(run_configs(), _OVERRIDES)
+@example({**SMALL_DICT, "image_wh": 24, "sigma_px": 1e-300}, [])
+@example({**SMALL_DICT, "image_wh": 24, "focal_px": 10.0, "extent_mm": 1e300}, [])
+def test_every_run_config_runs_or_exits_before_writing(config, overrides):
     # A run either succeeds with a strict-JSON report, or exits 2 (bad input)
     # or 3 (numeric failure) with nothing written. Any exception, including
     # a RuntimeWarning from an overflow, fails the test.
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp) / "config.json", Path(tmp) / "out"
         path.write_text(json.dumps(config))
-        rc = main(["run", "--config", str(path), "--out", str(out)])
+        rc = main(["run", "--config", str(path), "--out", str(out), *overrides])
         if rc == 0:
             json.loads((out / "report.json").read_text(), parse_constant=_refuse_constant)
         else:
@@ -238,6 +246,12 @@ class TestRigSceneGen:
                    "--out", str(tmp_path / "rig.json")])
         assert rc == 2
         assert not (tmp_path / "rig.json").exists()
+
+    def test_rig_gen_rank_deficient_camera_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "rig.json"
+        assert main(["rig-gen", "--radius", "1e9", "--focal", "1e-6", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "'focal_px'" in capsys.readouterr().err
 
     def test_scene_gen(self, tmp_path):
         out = tmp_path / "scene.json"
@@ -356,6 +370,21 @@ class TestTriangulate:
         assert rc == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("matrix", [
+        np.zeros((3, 4)), np.vstack([np.eye(2, 4), np.eye(2, 4)[0] + np.eye(2, 4)[1]]),
+    ], ids=["zero", "rank-2"])
+    def test_rank_deficient_rig_camera_exits_2(self, tmp_path, capsys, matrix):
+        rig_path, obs_path, _, _ = self.make_inputs(tmp_path)
+        rig = json.loads(rig_path.read_text())
+        rig[1]["M"] = matrix.ravel().tolist()
+        rig_path.write_text(json.dumps(rig))
+        out = tmp_path / "pose.csv"
+        rc = main(["triangulate", "--rig", str(rig_path), "--obs", str(obs_path),
+                   "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        assert "rank deficient" in capsys.readouterr().err
+
     def test_bad_confidence_exits_2(self, tmp_path, capsys):
         rig_path, obs_path, _, _ = self.make_inputs(tmp_path)
         rows = load_observations(obs_path)
@@ -451,6 +480,9 @@ def refuse_compute(*args, **kwargs):
       "--iterations", "0"], "--iterations"),
     (["triangulate", "--rig", "unread.json", "--obs", "unread.csv", "--out", "out.csv",
       "--seed", "-1"], "--seed"),
+    (["rig-gen", "--out", "unwritten.json", "--angle", "0"], "--angle"),
+    (["rig-gen", "--out", "unwritten.json", "--angle", "nan"], "--angle"),
+    (["rig-gen", "--out", "unwritten.json", "--cameras", "10", "--angle", "40"], "--angle"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_out_of_range_flag_exits_2_before_compute(monkeypatch, capsys, argv, flag):
     for name in ("gradient_check", "run_scenario", "load_scenario", "make_rig", "make_scene",
@@ -458,6 +490,23 @@ def test_out_of_range_flag_exits_2_before_compute(monkeypatch, capsys, argv, fla
         monkeypatch.setattr(f"epifuse.cli.{name}", refuse_compute)
     assert main(argv) == 2
     assert f"error: {flag} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [
+    *(cls for cls in vars(errors).values() if isinstance(cls, type)), ValueError,
+], ids=lambda cls: cls.__name__)
+def test_exit_code_is_the_error_type(tmp_path, monkeypatch, capsys, error):
+    # Bad input (ConfigError and its subclasses) exits 2; any other toolkit
+    # error or ValueError is a numeric or domain failure and exits 3.
+    def fail(*args, **kwargs):
+        raise error("injected")
+
+    monkeypatch.setattr("epifuse.cli.make_rig", fail)
+    out = tmp_path / "rig.json"
+    rc = main(["rig-gen", "--out", str(out)])
+    assert rc == (2 if issubclass(error, errors.ConfigError) else 3)
+    assert not out.exists()
+    assert "error: injected" in capsys.readouterr().err
 
 
 class TestEval:

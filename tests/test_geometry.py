@@ -74,9 +74,10 @@ class TestCameraCenter:
             assert c.tobytes() == center_oracle(cam.M).tobytes()
 
     def test_rank_deficient_matrix_rejected(self):
-        m = np.vstack([np.eye(2, 4), np.eye(2, 4)[0] + np.eye(2, 4)[1]])
-        with pytest.raises(ValueError, match="rank deficient"):
-            CameraView(m, 4, 4)
+        rank_two = np.vstack([np.eye(2, 4), np.eye(2, 4)[0] + np.eye(2, 4)[1]])
+        for m in (rank_two, np.zeros((3, 4))):
+            with pytest.raises(ValueError, match="rank deficient"):
+                CameraView(m, 4, 4)
 
 
 class TestPseudoInverse:

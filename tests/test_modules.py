@@ -23,6 +23,22 @@ def test_no_name_defined_in_two_modules():
     assert {name: sorted(mods) for name, mods in homes.items() if len(mods) > 1} == {}
 
 
+def test_every_error_type_is_raised():
+    # An error type nothing raises is a synonym of one in use; it drifts,
+    # and its exit code with it.
+    raised = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    defined = {node.name for node in ast.parse((SRC / "errors.py").read_text()).body
+               if isinstance(node, ast.ClassDef)}
+    assert len(defined) > 5
+    assert sorted(defined - raised - {"EpifuseError"}) == []
+
+
 def referenced_names(path: Path) -> set[str]:
     """Every name, attribute and string constant in a Python file."""
     names = set()
