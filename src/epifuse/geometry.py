@@ -311,9 +311,12 @@ def camera_from_dict(obj: dict) -> CameraView:
     m = obj["M"]
     if not isinstance(m, list) or len(m) != 12:
         raise ConfigError("camera key 'M' must hold 12 row-major numbers")
+    for key in ("width", "height"):
+        if not isinstance(obj[key], int) or isinstance(obj[key], bool):
+            raise ConfigError(f"camera key '{key}' must be an integer")
     try:
         mat = np.asarray(m, dtype=np.float64).reshape(3, 4)
-        return CameraView(mat, int(obj["width"]), int(obj["height"]))
+        return CameraView(mat, obj["width"], obj["height"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid camera entry: {exc}") from exc
 

@@ -183,24 +183,26 @@ def render_descriptor_map(
 ) -> FeatureMap:
     """Descriptor splat map: sum_j d_j * exp(-|pixel - proj_j|^2 / 2 sigma^2).
 
-    With map_wh below the camera resolution the camera is rescaled first so
-    projections land in map coordinates. Joints behind the camera are
-    omitted; joints outside the map still contribute their Gaussian tail.
+    The Gaussian is separable, so the map is one product: with the 1-D
+    factors ex (J, W) and ey (J, H), rows_j = ex_j (x) d_j is a (J, W*C)
+    matrix and the map is ey.T @ rows, reshaped to (H, W, C). Joints behind
+    the camera are dropped before the product; joints outside the map still
+    contribute their Gaussian tail. With map_wh below the camera resolution
+    the camera is rescaled first so projections land in map coordinates.
     """
     two_var = 2.0 * sigma_px * sigma_px
     if not (sigma_px > 0.0 and 0.0 < two_var < np.inf):
         raise ValueError("sigma must be positive, with 2 sigma^2 finite and nonzero")
     cam_m = _camera_at_map_resolution(cam, map_wh)
     mw, mh = cam_m.width, cam_m.height
-    data = np.zeros((mh, mw, scene.channels))
-    xs = np.arange(mw, dtype=np.float64)
-    ys = np.arange(mh, dtype=np.float64)
+    proj = _project_joints(cam_m, scene.joints)
+    front = ~np.isnan(proj[:, 0])
+    p, desc = proj[front], scene.descriptors[front]
     inv = 1.0 / two_var
-    for (px, py), desc in zip(_project_joints(cam_m, scene.joints), scene.descriptors):
-        if np.isnan(px):
-            continue
-        blob = np.exp(-((xs[None, :] - px) ** 2 + (ys[:, None] - py) ** 2) * inv)
-        data += blob[:, :, None] * desc[None, None, :]
+    ex = np.exp(-((np.arange(mw, dtype=np.float64) - p[:, :1]) ** 2) * inv)
+    ey = np.exp(-((np.arange(mh, dtype=np.float64) - p[:, 1:]) ** 2) * inv)
+    rows = (ex[:, :, None] * desc[:, None, :]).reshape(len(p), mw * scene.channels)
+    data = (ey.T @ rows).reshape(mh, mw, scene.channels)
     return FeatureMap._adopt(data)
 
 
@@ -465,7 +467,7 @@ def _fuse_and_match(r, s, maps, cams_m, proj, visible, params, k, descriptors, k
     fused map or None without keep_fused).
     """
     fused = transformer_forward(maps[r], maps[s], cams_m[r], cams_m[s], params, k).fused
-    peaks = np.array([argmax_peak(fused.data @ d)[0] for d in descriptors]).reshape(-1, 2)
+    peaks = _read_peaks(fused, descriptors)
     n_joints = visible.shape[1]
     hits = np.zeros(n_joints, dtype=int)
     totals = (visible[r] & visible[s]).astype(int)
@@ -485,6 +487,13 @@ def _fuse_and_match(r, s, maps, cams_m, proj, visible, params, k, descriptors, k
             dots = samples[i] @ maps[r].data[qy, qx]
             profiles[j] = _profile(r, s, locations[i], weights[i], dots)
     return peaks, hits, totals, profiles, fused if keep_fused else None
+
+
+def _read_peaks(fmap: FeatureMap, descriptors: np.ndarray) -> np.ndarray:
+    """(J, 2) sub-pixel heatmap peaks over fmap, all from one (J, C) @ (C, H*W) product."""
+    heat = descriptors @ fmap.data.reshape(-1, fmap.channels).T
+    return np.array([argmax_peak(h.reshape(fmap.height, fmap.width))[0]
+                     for h in heat]).reshape(-1, 2)
 
 
 def _profile(ref_view: int, src_view: int, locations, weights, dots) -> dict:
@@ -637,19 +646,25 @@ def _check_memory(config: ScenarioConfig, threads: int = 1, keep_fused: bool = F
 
     A map is map_wh^2 * channels floats. The views that run at once (threads,
     at most one per camera) hold up to two rendered maps each plus one, and
-    each holds a fused map (all of them when kept), a render temporary, its
-    plan's segment ends (4 floats and a flag a pixel) and its attention reads
-    at the joints' query pixels (K a joint, 4 C + 11 values each).
+    each holds a fused map (all of them when kept), its plan's segment ends
+    (4 floats and a flag a pixel), its attention reads at the joints' query
+    pixels (K a joint, 4 C + 11 values each) and _view_scratch_bytes.
     """
     side = config.map_wh or config.image_wh
     pixels, views, c = side * side, config.cameras, config.channels
     t = min(threads, views)
-    maps = min(views, 2 * t + 1) + (views if keep_fused else t) + t
+    maps = min(views, 2 * t + 1) + (views if keep_fused else t)
     reads = config.joints * config.k * (4 * c + 11)
-    need = 8 * maps * pixels * c + t * (33 * pixels + 8 * reads)
+    scratch = _view_scratch_bytes(config.joints, side, side, c)
+    need = 8 * maps * pixels * c + t * (33 * pixels + 8 * reads + scratch)
     if need > _MEMORY_BUDGET:
         raise DimsTooLarge(f"the run would hold about {need >> 20} MB, "
                            f"over the {_MEMORY_BUDGET >> 20} MB budget")
+
+
+def _view_scratch_bytes(joints: int, width: int, height: int, channels: int) -> int:
+    """Bytes a running view holds beside its maps: (J, H*W) heatmaps and (J, W*C) rows."""
+    return 8 * joints * (height * width + width * channels)
 
 
 def run_scenario(

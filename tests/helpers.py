@@ -120,6 +120,25 @@ def project(cam: CameraView, x) -> np.ndarray:
     return q[:2] / q[2]
 
 
+def render_oracle(cam: CameraView, joints, descriptors, sigma_px: float) -> np.ndarray:
+    """Per-joint splat: sum_j d_j exp(-|p - proj_j|^2 / 2 sigma^2) over cam's pixels p.
+
+    A joint at or behind the principal plane is skipped; one off the map
+    keeps its tail.
+    """
+    out = np.zeros((cam.height, cam.width, descriptors.shape[1]))
+    xs = np.arange(cam.width, dtype=np.float64)[None, :]
+    ys = np.arange(cam.height, dtype=np.float64)[:, None]
+    for x, d in zip(joints, descriptors):
+        q = cam.M @ np.append(x, 1.0)
+        if q[2] <= PROJECTION_W:
+            continue
+        px, py = q[:2] / q[2]
+        blob = np.exp(-((xs - px) ** 2 + (ys - py) ** 2) / (2.0 * sigma_px * sigma_px))
+        out += blob[:, :, None] * d[None, None, :]
+    return out
+
+
 def reprojection_error_oracle(cam: CameraView, x, p) -> float:
     """1-D np.linalg.norm of project(cam, x) - p; inf on the principal plane."""
     try:

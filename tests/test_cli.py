@@ -385,6 +385,22 @@ class TestTriangulate:
         assert not out.exists()
         assert "rank deficient" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["width", "height"])
+    @pytest.mark.parametrize("value", [2.7, True, "64"], ids=["float", "bool", "string"])
+    def test_non_integer_rig_size_exits_2(self, tmp_path, capsys, monkeypatch, key, value):
+        # The scenario reader's integer rule: a JSON int, not a bool.
+        rig_path, obs_path, _, _ = self.make_inputs(tmp_path)
+        rig = json.loads(rig_path.read_text())
+        rig[1][key] = value
+        rig_path.write_text(json.dumps(rig))
+        monkeypatch.setattr("epifuse.cli.ransac_triangulate", refuse_compute)
+        out = tmp_path / "pose.csv"
+        rc = main(["triangulate", "--rig", str(rig_path), "--obs", str(obs_path),
+                   "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        assert f"camera key '{key}' must be an integer" in capsys.readouterr().err
+
     def test_bad_confidence_exits_2(self, tmp_path, capsys):
         rig_path, obs_path, _, _ = self.make_inputs(tmp_path)
         rows = load_observations(obs_path)

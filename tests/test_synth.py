@@ -1,5 +1,6 @@
 import json
 import sys
+import tracemalloc
 import weakref
 from dataclasses import fields, replace
 
@@ -14,7 +15,7 @@ from epifuse.errors import (
     InvalidAngle,
 )
 from epifuse.fusion import FusionParams, transformer_forward
-from epifuse.geometry import CameraView
+from epifuse.geometry import CameraView, camera_at_resolution
 from epifuse.sampler import epipolar_samples
 from epifuse.synth import (
     Rig,
@@ -33,7 +34,7 @@ from epifuse.synth import (
     scenario_to_dict,
     similarity_profile,
 )
-from helpers import attention_weights, project
+from helpers import attention_weights, project, render_oracle
 
 SMALL = ScenarioConfig(
     cameras=4,
@@ -178,6 +179,42 @@ class TestRenderDescriptorMap:
         scene = make_scene(3, 300.0, 8, seed=15)
         fmap = render_descriptor_map(rig.cameras[0], scene, sigma_px=2.0, map_wh=32)
         assert fmap.data.shape == (32, 32, 8)
+
+    @pytest.mark.parametrize("case", ["default", "map_wh", "off_map", "behind"])
+    def test_matches_the_per_joint_oracle(self, case):
+        cfg = ScenarioConfig(map_wh=96 if case == "map_wh" else None)
+        rig, scene, _, _ = build_scenario(cfg)
+        cam = rig.cameras[0]
+        joints = scene.joints.copy()
+        if case == "off_map":  # in front, 4 px left of the map: its tail reaches in
+            joints[0] = point_on_ray(cam, (-4.0, 80.0))
+        if case == "behind":  # mirrored through the center of a point seen at (80, 80)
+            joints[0] = 2.0 * center3(cam) - point_on_ray(cam, (80.0, 80.0))
+        scene = Scene(joints, scene.descriptors)
+        fmap = render_descriptor_map(cam, scene, cfg.sigma_px, cfg.map_wh)
+        cam_m = cam if cfg.map_wh is None else camera_at_resolution(cam, 96, 96)
+        want = render_oracle(cam_m, joints, scene.descriptors, cfg.sigma_px)
+        assert fmap.data.shape == want.shape
+        assert np.max(np.abs(fmap.data - want)) <= 1e-15
+        if case == "off_map":
+            rest = render_oracle(cam_m, joints[1:], scene.descriptors[1:], cfg.sigma_px)
+            assert np.any(want[:, 0] != rest[:, 0])
+
+    def test_render_and_readout_stay_in_the_scratch_estimate(self):
+        # A running view holds its map plus _view_scratch_bytes, the estimate
+        # _check_memory counts per view.
+        cfg = ScenarioConfig()
+        rig, scene, _, _ = build_scenario(cfg)
+        tracemalloc.start()
+        try:
+            fmap = render_descriptor_map(rig.cameras[0], scene, cfg.sigma_px)
+            synth._read_peaks(fmap, scene.descriptors)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        scratch = synth._view_scratch_bytes(cfg.joints, 160, 160, cfg.channels)
+        assert fmap.data.shape == (160, 160, cfg.channels)
+        assert peak - fmap.data.nbytes <= scratch
 
     @pytest.mark.parametrize("map_wh", [None, 20])
     def test_maps_hold_no_negative_zero(self, map_wh):
