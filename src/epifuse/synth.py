@@ -655,16 +655,16 @@ def _check_memory(config: ScenarioConfig, threads: int = 1, keep_fused: bool = F
     t = min(threads, views)
     maps = min(views, 2 * t + 1) + (views if keep_fused else t)
     reads = config.joints * config.k * (4 * c + 11)
-    scratch = _view_scratch_bytes(config.joints, side, side, c)
+    scratch = _view_scratch_bytes(config.joints, side, c)
     need = 8 * maps * pixels * c + t * (33 * pixels + 8 * reads + scratch)
     if need > _MEMORY_BUDGET:
         raise DimsTooLarge(f"the run would hold about {need >> 20} MB, "
                            f"over the {_MEMORY_BUDGET >> 20} MB budget")
 
 
-def _view_scratch_bytes(joints: int, width: int, height: int, channels: int) -> int:
+def _view_scratch_bytes(joints: int, side: int, channels: int) -> int:
     """Bytes a running view holds beside its maps: (J, H*W) heatmaps and (J, W*C) rows."""
-    return 8 * joints * (height * width + width * channels)
+    return 8 * joints * side * (side + channels)
 
 
 def run_scenario(

@@ -212,7 +212,7 @@ class TestRenderDescriptorMap:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        scratch = synth._view_scratch_bytes(cfg.joints, 160, 160, cfg.channels)
+        scratch = synth._view_scratch_bytes(cfg.joints, 160, cfg.channels)
         assert fmap.data.shape == (160, 160, cfg.channels)
         assert peak - fmap.data.nbytes <= scratch
 
