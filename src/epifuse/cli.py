@@ -23,9 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    ConfigError, Degenerate, EpifuseError, IndexOutOfRange, LengthMismatch, NoConsensus,
-)
+from .errors import ConfigError, Degenerate, EpifuseError, IndexOutOfRange, LengthMismatch
 from .geometry import load_rig_file, rig_to_json
 from .metrics import jdr, load_pose_csv, mpjpe, save_pose_csv
 from .sampler import save_feature_map
@@ -39,7 +37,7 @@ from .synth import (
     run_scenario,
     similarity_profile,
 )
-from .triangulation import dlt_triangulate, load_observations, ransac_triangulate
+from .triangulation import load_observations, triangulate_joints
 
 _FORMAT_NOTES = """\
 file formats:
@@ -51,7 +49,7 @@ file formats:
                    per_joint: [...], config: {...}}
   profile CSV     header t,x,y,weight,dot; one row per sample
   observations    CSV header view_id,joint_id,x,y,confidence; confidence in [0, 1]
-  pose CSV        header joint_id,x,y[,z],confidence
+  pose CSV        header joint_id,x,y[,z],confidence (triangulate: inlier share)
                   (in both CSVs *_id columns hold integers, the others finite numbers)
   feature map     binary, magic FMAP + u32 H,W,C + float32 row-major values
 """
@@ -167,21 +165,16 @@ def cmd_triangulate(args: argparse.Namespace) -> int:
     stack, pixels = np.stack([cam.M for cam in cameras]), np.stack([xs, ys], axis=1)
 
     ids = np.unique(joints).tolist()
-    poses = []  # (joint id, point, confidence)
-    for seq, joint_id in zip(np.random.SeedSequence(args.seed).spawn(len(ids)), ids):
-        seen = joints == joint_id
-        if np.sum(seen) < 2:
-            print(f"warning: joint {joint_id} seen once, skipped", file=sys.stderr)
-            continue
-        cams, obs = stack[views[seen]], pixels[seen]
-        try:
-            if args.plain:
-                poses.append((joint_id, dlt_triangulate(cams, obs), 1.0))
-            else:
-                result = ransac_triangulate(cams, obs, args.threshold, args.iterations, seq)
-                poses.append((joint_id, result.point, np.sum(result.inliers) / len(obs)))
-        except (Degenerate, NoConsensus) as exc:
-            print(f"warning: joint {joint_id} not triangulated: {exc}", file=sys.stderr)
+    results = triangulate_joints(
+        [(stack[views[m]], pixels[m]) for m in (joints == joint_id for joint_id in ids)],
+        args.threshold, args.iterations, np.random.SeedSequence(args.seed), args.plain,
+    )
+    poses = []  # (joint id, point, confidence: the inlier share)
+    for joint_id, result in zip(ids, results):
+        if isinstance(result, str):
+            print(f"warning: joint {joint_id} not triangulated: {result}", file=sys.stderr)
+        else:
+            poses.append((joint_id, result.point, np.sum(result.inliers) / len(result.inliers)))
     if not poses:
         raise Degenerate("no joint could be triangulated")
     joint_ids, points, confidences = zip(*poses)

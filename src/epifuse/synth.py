@@ -27,12 +27,10 @@ import numpy as np
 
 from .errors import (
     ConfigError,
-    Degenerate,
     DescriptorSaturation,
     DimsTooLarge,
     IndexOutOfRange,
     InvalidAngle,
-    NoConsensus,
     ShapeMismatch,
 )
 from .fusion import (
@@ -47,7 +45,7 @@ from .fusion import (
 from .geometry import PROJECTION_W, CameraView, camera_at_resolution
 from .metrics import argmax_peak, jdr, mpjpe
 from .sampler import FeatureMap, plan_epipolar_sampling, sample_parameters
-from .triangulation import ransac_triangulate
+from .triangulation import triangulate_joints
 
 
 @dataclass(eq=False)
@@ -344,17 +342,17 @@ def run_pipeline(
     analytic_det = proj + noise_px * analytic_noise
 
     stack = np.stack([cam.M for cam in cams_m])
-    heat_points, heat_valid, heat_inliers = _triangulate_joints(
-        stack, detections, visible, ransac_threshold_px, ransac_iterations, s_ransac_heat,
+    # Each path's triangulated joints, {joint: TriangulationResult} in joint order.
+    heat, ana = (
+        {j: r for j, r in enumerate(triangulate_joints(
+            [(stack[seen], det[seen, j]) for j, seen in enumerate(visible.T)],
+            ransac_threshold_px, ransac_iterations, seq)) if not isinstance(r, str)}
+        for det, seq in ((detections, s_ransac_heat), (analytic_det, s_ransac_analytic))
     )
-    ana_points, ana_valid, _ = _triangulate_joints(
-        stack, analytic_det, visible, ransac_threshold_px, ransac_iterations,
-        s_ransac_analytic,
-    )
-
     mpjpe_mm, analytic_mpjpe_mm = (
-        mpjpe(points[valid], scene.joints[valid]) if np.any(valid) else None
-        for points, valid in ((heat_points, heat_valid), (ana_points, ana_valid))
+        mpjpe(np.array([r.point for r in solved.values()]), scene.joints[list(solved)])
+        if solved else None
+        for solved in (heat, ana)
     )
 
     vis_idx = np.argwhere(visible)
@@ -367,15 +365,17 @@ def run_pipeline(
 
     per_joint = []
     for j in range(n_joints):
-        err = float(np.linalg.norm(heat_points[j] - scene.joints[j])) if heat_valid[j] else None
-        ana = float(np.linalg.norm(ana_points[j] - scene.joints[j])) if ana_valid[j] else None
+        err, ana_err = (
+            float(np.linalg.norm(solved[j].point - scene.joints[j])) if j in solved else None
+            for solved in (heat, ana)
+        )
         per_joint.append(
             JointOutcome(
                 joint=j,
                 error_mm=err,
-                analytic_error_mm=ana,
+                analytic_error_mm=ana_err,
                 observed_views=int(np.sum(visible[:, j])),
-                inlier_views=heat_inliers[j],
+                inlier_views=int(np.sum(heat[j].inliers)) if j in heat else None,
                 match_hits=int(match_hits[j]),
                 match_total=int(match_total[j]),
                 profile=profiles[j],
@@ -425,30 +425,6 @@ def _view_order(src_of: list[int]) -> list[int]:
         order.append(r)
         rendered |= {r, src_of[r]}
     return order
-
-
-def _triangulate_joints(
-    stack, detections, visible, threshold_px, iterations, entropy
-) -> tuple[np.ndarray, np.ndarray, list[int | None]]:
-    n_joints = detections.shape[1]
-    seeds = entropy.spawn(n_joints)
-    points = np.zeros((n_joints, 3))
-    valid = np.zeros(n_joints, dtype=bool)
-    inliers: list[int | None] = [None] * n_joints
-    for j in range(n_joints):
-        seen = visible[:, j]
-        if np.sum(seen) < 2:
-            continue
-        try:
-            result = ransac_triangulate(
-                stack[seen], detections[seen, j], threshold_px, iterations, seeds[j]
-            )
-        except (NoConsensus, Degenerate):
-            continue
-        points[j] = result.point
-        valid[j] = True
-        inliers[j] = int(np.sum(result.inliers))
-    return points, valid, inliers
 
 
 def _query_pixel(p: np.ndarray, width: int, height: int) -> tuple[int, int]:
@@ -701,17 +677,17 @@ def similarity_profile(
     its epipolar line misses the source map, and raises IndexOutOfRange for
     indices outside the rig or scene.
     """
-    _check_memory(config)
-    rig, scene, params, _ = build_scenario(config)
-    last_view = rig.n_views - 1
+    last_view = config.cameras - 1
     if not 0 <= ref_view <= last_view:
         raise IndexOutOfRange(f"reference view {ref_view} outside 0..{last_view}")
     if not 0 <= src_view <= last_view:
         raise IndexOutOfRange(f"source view {src_view} outside 0..{last_view}")
     if ref_view == src_view:
         raise IndexOutOfRange("reference and source views must differ")
-    if not 0 <= joint < scene.n_joints:
-        raise IndexOutOfRange(f"joint {joint} outside 0..{scene.n_joints - 1}")
+    if not 0 <= joint < config.joints:
+        raise IndexOutOfRange(f"joint {joint} outside 0..{config.joints - 1}")
+    _check_memory(config)
+    rig, scene, params, _ = build_scenario(config)
 
     cam_r = _camera_at_map_resolution(rig.cameras[ref_view], config.map_wh)
     cam_s = _camera_at_map_resolution(rig.cameras[src_view], config.map_wh)

@@ -13,11 +13,13 @@ It solves for X^ in a frame X = T X^ centered on the cameras (Hartley &
 Zisserman, Multiple View Geometry, 2nd ed., section 4.4): in raw millimetres
 W is a small part of that vector, and dividing by it amplifies the error.
 RANSAC draws two-view minimal sets, gates by reprojection error, and
-re-estimates over the winning consensus set.
+re-estimates over the winning consensus set. triangulate_joints runs it, or
+a plain DLT, over many joints: the pipeline's and the CLI's one loop.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -144,6 +146,34 @@ def ransac_triangulate(
         raise NoConsensus("the refined point keeps fewer than two inliers")
     rms = float(np.sqrt(np.mean(errors[inliers] ** 2)))
     return TriangulationResult(point=refined, inliers=inliers, rms_reproj=rms)
+
+
+def triangulate_joints(
+    joints: Sequence[tuple[np.ndarray, np.ndarray]], threshold_px: float, iterations: int,
+    seed: np.random.SeedSequence, plain: bool = False,
+) -> list[TriangulationResult | str]:
+    """Per (cams (n, 3, 4), pixels (n, 2)) joint, its result or the reason it has none.
+
+    Joint j runs ransac_triangulate with seed.spawn(len(joints))[j], spawned
+    whether or not it is triangulated; plain runs one DLT with every view an
+    inlier. A reason is "fewer than two views" or the message of the
+    Degenerate or NoConsensus that stopped the joint.
+    """
+    out: list[TriangulationResult | str] = []
+    for (cams, pixels), child in zip(joints, seed.spawn(len(joints))):
+        if len(pixels) < 2:
+            out.append("fewer than two views")
+            continue
+        try:
+            if plain:
+                point = dlt_triangulate(cams, pixels)
+                rms = float(np.sqrt(np.mean(reprojection_errors(cams, pixels, point) ** 2)))
+                out.append(TriangulationResult(point, np.ones(len(pixels), dtype=bool), rms))
+            else:
+                out.append(ransac_triangulate(cams, pixels, threshold_px, iterations, child))
+        except (Degenerate, NoConsensus) as exc:
+            out.append(str(exc))
+    return out
 
 
 # -- observation files --------------------------------------------------------

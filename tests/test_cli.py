@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -63,6 +66,20 @@ class TestRun:
         main(["run", "--config", str(small_config), "--out", str(out_a), "--threads", "1"])
         main(["run", "--config", str(small_config), "--out", str(out_b), "--threads", "2"])
         assert (out_a / "report.json").read_bytes() == (out_b / "report.json").read_bytes()
+
+    def test_blas_threads_do_not_change_bytes(self, tmp_path):
+        # The shipped 160x160 config, whose render and readout GEMMs OpenBLAS
+        # splits across threads.
+        root = Path(__file__).resolve().parent.parent
+        reports = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS=threads)
+            out = tmp_path / threads
+            subprocess.run([sys.executable, "-m", "epifuse", "run", "--config",
+                            str(root / "configs" / "default.json"), "--out", str(out)],
+                           env=env, capture_output=True, check=True)
+            reports.append((out / "report.json").read_bytes())
+        assert reports[0] == reports[1] and len(reports[0]) > 1000
 
     def test_save_maps(self, tmp_path, small_config):
         out = tmp_path / "out"
@@ -319,6 +336,26 @@ class TestProfile:
                    "--src-view", "1", "--joint", "0", "--out", str(tmp_path / "p.csv")])
         assert rc == 2
 
+    @pytest.mark.parametrize("ref, src, joint, named", [
+        ("9", "1", "0", "reference view 9"), ("-1", "1", "0", "reference view -1"),
+        ("0", "4", "0", "source view 4"), ("2", "2", "0", "reference and source views"),
+        ("0", "1", "200", "joint 200"), ("0", "1", "-1", "joint -1"),
+    ])
+    def test_out_of_range_index_exits_2_before_the_scenario(
+        self, tmp_path, capsys, monkeypatch, ref, src, joint, named
+    ):
+        # 200 joints in 4 channels: building this scenario fails to draw its
+        # descriptors (exit 3), so the indices must be checked first.
+        cfg = tmp_path / "big.json"
+        cfg.write_text(json.dumps({"joints": 200, "channels": 4, "cameras": 4}))
+        monkeypatch.setattr("epifuse.synth.build_scenario", refuse_compute)
+        out = tmp_path / "p.csv"
+        rc = main(["profile", "--config", str(cfg), "--ref-view", ref, "--src-view", src,
+                   "--joint", joint, "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        assert named in capsys.readouterr().err
+
 
 class TestTriangulate:
     def make_inputs(self, tmp_path):
@@ -360,6 +397,41 @@ class TestTriangulate:
             assert np.array_equal(points[j], dlt_triangulate(stack, pixels))
         assert np.allclose(confs, 1.0)
 
+    DROPS = ["warning: joint 3 not triangulated: fewer than two views",
+             "warning: joint 4 not triangulated: all views share one camera center"]
+
+    def dropped_rows(self, cams):
+        """Joint 3 seen once; joint 4 seen twice from view 2, a degenerate pair."""
+        p, q = project(cams[1], [10.0, 0.0, 0.0]), project(cams[2], [0.0, 20.0, 0.0])
+        return [(1, 3, *map(float, p), 1.0), (2, 4, *map(float, q), 1.0),
+                (2, 4, *map(float, q), 1.0)]
+
+    @pytest.mark.parametrize("plain", [[], ["--plain"]], ids=["ransac", "plain"])
+    def test_dropped_joints_warn_once_each(self, tmp_path, capsys, plain):
+        rig_path, obs_path, cams, joints = self.make_inputs(tmp_path)
+        save_observations(load_observations(obs_path) + self.dropped_rows(cams), obs_path)
+        out = tmp_path / "pose.csv"
+        rc = main(["triangulate", "--rig", str(rig_path), "--obs", str(obs_path),
+                   "--out", str(out), *plain])
+        assert rc == 0
+        assert capsys.readouterr().err.splitlines() == self.DROPS
+        ids, points, confs = load_pose_csv(out)
+        assert ids == [0, 1, 2]
+        assert np.allclose(points, joints, atol=1e-6)
+        assert confs.tolist() == [1.0] * 3
+
+    @pytest.mark.parametrize("plain", [[], ["--plain"]], ids=["ransac", "plain"])
+    def test_every_joint_dropped_exits_3(self, tmp_path, capsys, plain):
+        rig_path, obs_path, cams, _ = self.make_inputs(tmp_path)
+        save_observations(self.dropped_rows(cams), obs_path)
+        out = tmp_path / "pose.csv"
+        rc = main(["triangulate", "--rig", str(rig_path), "--obs", str(obs_path),
+                   "--out", str(out), *plain])
+        assert rc == 3
+        assert not out.exists()
+        assert capsys.readouterr().err.splitlines() == [
+            *self.DROPS, "error: no joint could be triangulated"]
+
     def test_unknown_view_exits_2(self, tmp_path, capsys):
         rig_path, obs_path, _, _ = self.make_inputs(tmp_path)
         text = obs_path.read_text().replace("\n0,1,", "\n9,1,", 1)
@@ -393,7 +465,7 @@ class TestTriangulate:
         rig = json.loads(rig_path.read_text())
         rig[1][key] = value
         rig_path.write_text(json.dumps(rig))
-        monkeypatch.setattr("epifuse.cli.ransac_triangulate", refuse_compute)
+        monkeypatch.setattr("epifuse.cli.triangulate_joints", refuse_compute)
         out = tmp_path / "pose.csv"
         rc = main(["triangulate", "--rig", str(rig_path), "--obs", str(obs_path),
                    "--out", str(out)])
@@ -416,7 +488,7 @@ class TestTriangulate:
         rig_path, obs_path, _, _ = self.make_inputs(tmp_path)
         rows = load_observations(obs_path)
         save_observations([rows[0][:2] + (float("nan"),) + rows[0][3:]] + rows[1:], obs_path)
-        monkeypatch.setattr("epifuse.cli.ransac_triangulate", refuse_compute)
+        monkeypatch.setattr("epifuse.cli.triangulate_joints", refuse_compute)
         out = tmp_path / "pose.csv"
         rc = main(["triangulate", "--rig", str(rig_path), "--obs", str(obs_path),
                    "--out", str(out)])

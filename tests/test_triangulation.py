@@ -12,6 +12,7 @@ from epifuse.triangulation import (
     load_observations,
     ransac_triangulate,
     reprojection_errors,
+    triangulate_joints,
 )
 from helpers import (
     center_oracle,
@@ -244,6 +245,46 @@ class TestRansac:
             ransac_triangulate(cams, points, iterations=0)
 
 
+class TestTriangulateJoints:
+    def joints(self, first_views):
+        """Four joints over an 8-view ring with outliers, the first seen first_views times."""
+        cams = ring_cameras(8)
+        out = []
+        for j, views in enumerate([first_views, 8, 8, 8]):
+            rng = np.random.default_rng([11, j])
+            cam_stack, points = observe(cams[:views], rng.uniform(-60.0, 60.0, 3), 0.5, rng)
+            points[rng.random(views) < 0.3] += 25.0
+            out.append((cam_stack, points))
+        return out
+
+    def test_joint_j_runs_on_the_jth_spawned_seed(self):
+        # Two iterations over noisy rows with outliers: the result depends on
+        # the seed, so the seed of each joint is pinned by its position alone.
+        dropped = triangulate_joints(self.joints(1), 2.0, 2, np.random.SeedSequence(5))
+        kept = triangulate_joints(self.joints(3), 2.0, 2, np.random.SeedSequence(5))
+        assert dropped[0] == "fewer than two views" and not isinstance(kept[0], str)
+        children = np.random.SeedSequence(5).spawn(4)
+        for j, (cams, points) in enumerate(self.joints(1)[1:], start=1):
+            want = ransac_triangulate(cams, points, 2.0, 2, children[j])
+            for got in (dropped[j], kept[j]):
+                assert np.array_equal(got.point, want.point)
+                assert np.array_equal(got.inliers, want.inliers)
+                assert got.rms_reproj == want.rms_reproj
+        # Without joint 0, joint j runs on the seed of joint j - 1, and its result moves.
+        shifted = triangulate_joints(self.joints(1)[1:], 2.0, 2, np.random.SeedSequence(5))
+        assert any(isinstance(a, str) or not np.array_equal(a.point, b.point)
+                   for a, b in zip(shifted, dropped[1:]))
+
+    def test_plain_result_is_the_points_own(self):
+        cams, points = self.joints(8)[1]
+        (result,) = triangulate_joints([(cams, points)], 2.0, 2, np.random.SeedSequence(0), True)
+        point = dlt_triangulate(cams, points)
+        assert np.array_equal(result.point, point)
+        assert result.inliers.tolist() == [True] * 8
+        errors = reprojection_errors(cams, points, point)
+        assert result.rms_reproj == float(np.sqrt(np.mean(errors ** 2))) > 2.0
+
+
 class TestDefaultScenario:
     def test_seed_4_joint_12_fits_its_detections(self, monkeypatch):
         # Each heatmap detection of this joint lies within 0.72 px of its true
@@ -252,17 +293,15 @@ class TestDefaultScenario:
         # views as inliers of that point.
         calls = []
 
-        def capture(cams, detections, visible, *rest):
-            calls.append((cams, detections, visible))
-            return triangulate_joints(cams, detections, visible, *rest)
+        def capture(joints, *rest):
+            calls.append(joints)
+            return original(joints, *rest)
 
-        triangulate_joints = synth._triangulate_joints
-        monkeypatch.setattr(synth, "_triangulate_joints", capture)
+        original = synth.triangulate_joints
+        monkeypatch.setattr(synth, "triangulate_joints", capture)
         config = synth.ScenarioConfig(seed=4)
         report = synth.run_scenario(config)
-        cams, detections, visible = calls[0]  # the heatmap path
-        seen = visible[:, 12]
-        cams, points = cams[seen], detections[seen, 12]
+        cams, points = calls[0][12]  # the heatmap path
         threshold = config.ransac_threshold_px
         assert len(points) == 10
         assert np.all(reprojection_errors(cams, points, dlt_triangulate(cams, points)) < threshold)
