@@ -12,9 +12,13 @@ scale, and takes the right singular vector of the smallest singular value.
 It solves for X^ in a frame X = T X^ centered on the cameras (Hartley &
 Zisserman, Multiple View Geometry, 2nd ed., section 4.4): in raw millimetres
 W is a small part of that vector, and dividing by it amplifies the error.
-RANSAC draws two-view minimal sets, gates by reprojection error, and
-re-estimates over the winning consensus set. triangulate_joints runs it, or
-a plain DLT, over many joints: the pipeline's and the CLI's one loop.
+The DLT and the reprojection errors broadcast over leading axes, one system
+per item with the bits of an unbatched call; a NaN row marks a system with
+no solution. RANSAC draws two-view minimal sets a block at a time, solves
+each block with one DLT call and scores it with one error matrix, gates by
+reprojection error, and re-estimates over the winning consensus set.
+triangulate_joints runs it, or a plain DLT, over many joints: the
+pipeline's and the CLI's one loop.
 """
 
 from __future__ import annotations
@@ -37,9 +41,14 @@ class TriangulationResult:
     rms_reproj: float  # pixels, over the inliers
 
 
+# Minimal pairs per RANSAC block: one DLT call and one (P, n) error matrix
+# each, so memory stays bounded whatever the iteration count.
+_BLOCK = 1024
+
+
 def _norms(v: np.ndarray) -> np.ndarray:
-    """Row norms of (n, d) v with the bits of 1-D np.linalg.norm (axis=1 rounds otherwise)."""
-    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+    """Norms over v's last axis with the bits of 1-D np.linalg.norm (axis=-1 rounds otherwise)."""
+    return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
 
 
 def conditioning_frame(cams: np.ndarray) -> np.ndarray:
@@ -65,35 +74,47 @@ def conditioning_frame(cams: np.ndarray) -> np.ndarray:
 def dlt_triangulate(
     cams: np.ndarray, points: np.ndarray, frame: np.ndarray | None = None
 ) -> np.ndarray:
-    """Least-squares 3D point from (n, 3, 4) cameras and their (n, 2) pixels, n >= 2.
+    """Least-squares 3D points from (..., n, 3, 4) cameras and their (..., n, 2) pixels, n >= 2.
 
-    Solves with cams @ frame for X^ and returns frame @ X^; frame defaults to
-    conditioning_frame(cams). Raises Degenerate when the two smallest
-    singular values of the stacked system are within 1e-9 relative, i.e. the
-    solution direction is ambiguous (coincident views, collinear geometry).
+    Returns (..., 3): one DLT per leading index, each with the bits of an
+    unbatched call. Solves with cams @ frame for X^ and returns frame @ X^;
+    frame defaults to conditioning_frame(cams) of an unbatched stack. A
+    system has no solution when the two smallest singular values of its
+    stacked rows are within 1e-9 relative, i.e. the solution direction is
+    ambiguous (coincident views, collinear geometry), or when X^ lies at
+    infinity; its row is NaN. Raises Degenerate, with the first system's
+    reason, only when no system has a solution.
     """
-    if len(points) < 2:
+    if points.shape[-2] < 2:
         raise ValueError("triangulation needs at least two observations")
     if frame is None:
         frame = conditioning_frame(cams)
     cams = cams @ frame
-    a = (points[:, :, None] * cams[:, 2:3, :] - cams[:, :2, :]).reshape(-1, 4)
+    a = points[..., None] * cams[..., 2:3, :] - cams[..., :2, :]
+    a = a.reshape(*a.shape[:-3], -1, 4)
     norms = _norms(a)
-    a /= np.where(norms > 0.0, norms, 1.0)[:, None]
+    a /= np.where(norms > 0.0, norms, 1.0)[..., None]
     _, s, vt = np.linalg.svd(a)
-    if s[-2] - s[-1] < 1e-9 * s[0]:
-        raise Degenerate("triangulated direction is ambiguous")
-    x = vt[-1]
-    if abs(x[3]) < PROJECTION_W * np.linalg.norm(x):
-        raise Degenerate("triangulated point lies at infinity")
-    return (frame @ x)[:3] / x[3]
+    x = vt[..., -1, :]
+    ambiguous = s[..., -2] - s[..., -1] < 1e-9 * s[..., 0]
+    none = ambiguous | (np.abs(x[..., 3]) < PROJECTION_W * _norms(x))
+    if np.all(none):
+        raise Degenerate("triangulated direction is ambiguous" if ambiguous.flat[0]
+                         else "triangulated point lies at infinity")
+    x = np.where(none[..., None], np.nan, x)
+    return (frame @ x[..., None])[..., :3, 0] / x[..., 3:]
 
 
 def reprojection_errors(cams: np.ndarray, points: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """(n,) pixel distances of x (mm), projected, to the detections; inf if |w| < PROJECTION_W."""
-    q = cams @ np.array([x[0], x[1], x[2], 1.0])
-    far = np.abs(q[:, 2]) < PROJECTION_W
-    errors = _norms(q[:, :2] / np.where(far, 1.0, q[:, 2])[:, None] - points)
+    """(..., n) pixel distances of (..., 3) points x (mm), projected, to the (n, 2) detections.
+
+    inf where |w| < PROJECTION_W; NaN for a NaN point. Each row has the bits
+    of an unbatched call.
+    """
+    xh = np.concatenate([x, np.ones(x.shape[:-1] + (1,))], axis=-1)
+    q = (cams @ xh[..., None, :, None])[..., 0]
+    far = np.abs(q[..., 2]) < PROJECTION_W
+    errors = _norms(q[..., :2] / np.where(far, 1.0, q[..., 2])[..., None] - points)
     errors[far] = np.inf
     return errors
 
@@ -106,10 +127,13 @@ def ransac_triangulate(
 
     Each iteration triangulates a random pair and counts views whose
     reprojection error is strictly below threshold_px. The largest consensus
-    wins, with ties broken by lower inlier RMS; the final point is a DLT
-    over the winning consensus, scored once more: the result's inliers and
-    RMS are that point's own. Every DLT solves in the joint's one
-    conditioning_frame. Fully deterministic for a fixed seed.
+    wins, with ties broken by lower inlier RMS, then by the earlier draw; the
+    final point is a DLT over the winning consensus, scored once more: the
+    result's inliers and RMS are that point's own. The pairs are drawn up
+    front, _BLOCK at a time (no draw depends on a result); each block is
+    solved with one dlt_triangulate call and scored with one error matrix.
+    Every DLT solves in the joint's one conditioning_frame. Fully
+    deterministic for a fixed seed.
     """
     n = len(points)
     if n < 2:
@@ -122,18 +146,10 @@ def ransac_triangulate(
     frame = conditioning_frame(cams)
 
     best_mask, best_count, best_rms = None, 0, np.inf
-    for _ in range(iterations):
-        pair = rng.choice(n, size=2, replace=False)
-        try:
-            x = dlt_triangulate(cams[pair], points[pair], frame)
-        except Degenerate:
-            continue
-        errors = reprojection_errors(cams, points, x)
-        mask = errors < threshold_px
-        count = int(np.sum(mask))
-        if count < 2:
-            continue
-        rms = float(np.sqrt(np.mean(errors[mask] ** 2)))
+    for start in range(0, iterations, _BLOCK):
+        pairs = np.array([rng.choice(n, size=2, replace=False)
+                          for _ in range(min(_BLOCK, iterations - start))])
+        mask, count, rms = _block_best(cams, points, pairs, frame, threshold_px)
         if count > best_count or (count == best_count and rms < best_rms):
             best_mask, best_count, best_rms = mask, count, rms
 
@@ -146,6 +162,32 @@ def ransac_triangulate(
         raise NoConsensus("the refined point keeps fewer than two inliers")
     rms = float(np.sqrt(np.mean(errors[inliers] ** 2)))
     return TriangulationResult(point=refined, inliers=inliers, rms_reproj=rms)
+
+
+def _block_best(
+    cams: np.ndarray, points: np.ndarray, pairs: np.ndarray, frame: np.ndarray,
+    threshold_px: float,
+) -> tuple[np.ndarray | None, int, float]:
+    """(inlier mask, count, RMS) of the best of the (P, 2) drawn pairs.
+
+    Best is the most inliers, then the lowest inlier RMS, then the first;
+    (None, 0, inf) when no pair has two inliers. The block's arrays die on
+    return, so a RANSAC peaks at one block's size.
+    """
+    try:
+        x = dlt_triangulate(cams[pairs], points[pairs], frame)
+    except Degenerate:
+        return None, 0, np.inf
+    errors = reprojection_errors(cams, points, x)
+    masks = errors < threshold_px
+    counts = np.sum(masks, axis=1)
+    count = int(np.max(counts))
+    if count < 2:
+        return None, 0, np.inf
+    rows = np.flatnonzero(counts == count)
+    rms = np.sqrt(np.mean(errors[rows][masks[rows]].reshape(-1, count) ** 2, axis=1))
+    i = int(np.argmin(rms))
+    return masks[rows[i]].copy(), count, float(rms[i])
 
 
 def triangulate_joints(

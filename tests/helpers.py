@@ -6,10 +6,17 @@ import csv
 
 import numpy as np
 
+from epifuse.errors import Degenerate, NoConsensus
 from epifuse.fusion import _BLOCK, _attend, _batch_weights
 from epifuse.geometry import PROJECTION_W, CameraView
 from epifuse.sampler import bilinear_many
-from epifuse.triangulation import OBS_FIELDS
+from epifuse.triangulation import (
+    OBS_FIELDS,
+    TriangulationResult,
+    conditioning_frame,
+    dlt_triangulate,
+    reprojection_errors,
+)
 
 
 def look_at_camera(
@@ -106,7 +113,8 @@ def pinv_oracle(m) -> np.ndarray:
 #
 # One camera and one point at a time, against which the library's stacked
 # projection (triangulation.reprojection_errors) and DLT rows must agree bit
-# for bit.
+# for bit; and RANSAC one drawn pair at a time, against which the blocked
+# ransac_triangulate must agree bit for bit.
 
 
 def project(cam: CameraView, x) -> np.ndarray:
@@ -162,6 +170,45 @@ def dlt_oracle(ms, points, frame=None) -> np.ndarray:
             rows.append(row / norm if norm > 0.0 else row)
     x = np.linalg.svd(np.vstack(rows))[2][-1]
     return (frame @ x)[:3] / x[3]
+
+
+def ransac_oracle(cams, points, threshold_px=5.0, iterations=100, seed=0) -> TriangulationResult:
+    """ransac_triangulate with one unbatched DLT and error vector per drawn pair, in draw order."""
+    n = len(points)
+    if n < 2:
+        raise ValueError("RANSAC needs at least two observations")
+    if not (threshold_px > 0.0):
+        raise ValueError("threshold must be positive")
+    if iterations < 1:
+        raise ValueError("iterations must be at least 1")
+    rng = np.random.default_rng(seed)
+    frame = conditioning_frame(cams)
+
+    best_mask, best_count, best_rms = None, 0, np.inf
+    for _ in range(iterations):
+        pair = rng.choice(n, size=2, replace=False)
+        try:
+            x = dlt_triangulate(cams[pair], points[pair], frame)
+        except Degenerate:
+            continue
+        errors = reprojection_errors(cams, points, x)
+        mask = errors < threshold_px
+        count = int(np.sum(mask))
+        if count < 2:
+            continue
+        rms = float(np.sqrt(np.mean(errors[mask] ** 2)))
+        if count > best_count or (count == best_count and rms < best_rms):
+            best_mask, best_count, best_rms = mask, count, rms
+
+    if best_mask is None:
+        raise NoConsensus("no sampled pair produced two or more inliers")
+    refined = dlt_triangulate(cams[best_mask], points[best_mask], frame)
+    errors = reprojection_errors(cams, points, refined)
+    inliers = errors < threshold_px
+    if np.sum(inliers) < 2:
+        raise NoConsensus("the refined point keeps fewer than two inliers")
+    rms = float(np.sqrt(np.mean(errors[inliers] ** 2)))
+    return TriangulationResult(point=refined, inliers=inliers, rms_reproj=rms)
 
 
 def bilinear_sample(fmap, point) -> np.ndarray:

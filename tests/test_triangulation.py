@@ -1,9 +1,12 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epifuse import synth
+from epifuse import synth, triangulation
 from epifuse.errors import ConfigError, Degenerate, NoConsensus
 from epifuse.geometry import CameraView
 from epifuse.triangulation import (
@@ -14,12 +17,14 @@ from epifuse.triangulation import (
     reprojection_errors,
     triangulate_joints,
 )
+import helpers
 from helpers import (
     center_oracle,
     dlt_oracle,
     look_at_camera,
     project,
     random_camera,
+    ransac_oracle,
     rectified_pair,
     reprojection_error_oracle,
     save_observations,
@@ -109,6 +114,55 @@ class TestDLT:
                 got = dlt_triangulate(ms, points)
                 assert np.array_equal(got, dlt_oracle(ms, points, frame))
 
+    def parallel_rays(self):
+        """A rectified pair seeing one pixel twice: X^ = (u, v, 1, 0) lies at infinity."""
+        ref, src = rectified_pair()
+        return stack([ref, src]), np.array([[3.0, -2.0], [3.0, -2.0]])
+
+    def test_batch_matches_unbatched_calls_bit_for_bit(self):
+        # (P, n, 3, 4) stacks over one rig's views, some pairs repeating a
+        # view: each row is the unbatched call's point, or NaN where it
+        # raises Degenerate.
+        rng = np.random.default_rng(21)
+        nan_rows = 0
+        for n in (2, 3, 5):
+            cams = [random_camera(rng) for _ in range(6)]
+            ms, points = observe(cams, visible_point(rng, cams), 1.0, rng)
+            views = rng.integers(0, 6, (2, 40, n))
+            for frame in (np.eye(4), conditioning_frame(ms)):
+                got = dlt_triangulate(ms[views], points[views], frame)
+                assert got.shape == (2, 40, 3)
+                for index in np.ndindex(2, 40):
+                    try:
+                        want = dlt_triangulate(ms[views[index]], points[views[index]], frame)
+                    except Degenerate:
+                        nan_rows += 1
+                        assert np.isnan(got[index]).all()
+                    else:
+                        assert got[index].tobytes() == want.tobytes()
+        assert nan_rows > 0
+
+    def test_system_without_solution_is_a_nan_row(self):
+        ms, points = self.parallel_rays()
+        with pytest.raises(Degenerate, match="infinity"):
+            dlt_triangulate(ms, points, np.eye(4))
+        dup = observe(ring_cameras(3)[:1] * 2, np.array([10.0, 0.0, 20.0]))
+        good = observe(ring_cameras(3)[:2], np.array([10.0, 0.0, 20.0]))
+        batch = [np.stack(arrays) for arrays in zip((ms, points), dup, good)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = dlt_triangulate(*batch, np.eye(4))
+        assert np.isnan(got[:2]).all()
+        assert got[2].tobytes() == dlt_triangulate(*good, np.eye(4)).tobytes()
+
+    def test_all_degenerate_batch_raises_the_first_reason(self):
+        far = self.parallel_rays()
+        dup = observe(ring_cameras(3)[:1] * 2, np.array([10.0, 0.0, 20.0]))
+        for first, second, reason in ((far, dup, "infinity"), (dup, far, "ambiguous")):
+            batch = [np.stack(arrays) for arrays in zip(first, second)]
+            with pytest.raises(Degenerate, match=reason):
+                dlt_triangulate(*batch, np.eye(4))
+
 
 class TestConditioningFrame:
     def test_mean_center_and_distance(self):
@@ -166,6 +220,24 @@ class TestReprojectionError:
         assert errors[0] == np.inf and np.isfinite(errors[1])
         assert errors.tolist() == [reprojection_error_oracle(c, x, p)
                                    for c, p in zip(cams, points)]
+
+    def test_batch_matches_per_point_calls_bit_for_bit(self):
+        # One point on the first camera's principal plane (inf there) and
+        # one NaN row (a system without solution) among random points.
+        rng = np.random.default_rng(22)
+        cams = [random_camera(rng) for _ in range(7)]
+        ms, points = stack(cams), rng.uniform(0.0, 63.0, (7, 2))
+        x = rng.normal(0.0, 60.0, (4, 5, 3))
+        c, ray = cams[0].center, np.cross(cams[0].M[2, :3], [1.0, 2.0, 3.0])
+        x[1, 2] = c[:3] / c[3] + 50.0 * ray / np.linalg.norm(ray)
+        x[3, 0] = np.nan
+        got = reprojection_errors(ms, points, x)
+        assert got.shape == (4, 5, 7)
+        assert got[1, 2, 0] == np.inf and np.isnan(got[3, 0]).all()
+        for index in np.ndindex(4, 5):
+            if index != (3, 0):
+                want = reprojection_errors(ms, points, x[index])
+                assert got[index].tobytes() == want.tobytes()
 
 
 class TestRansac:
@@ -243,6 +315,79 @@ class TestRansac:
             ransac_triangulate(cams, points, threshold_px=0.0)
         with pytest.raises(ValueError):
             ransac_triangulate(cams, points, iterations=0)
+
+    @staticmethod
+    def outcome(fn, *args):
+        try:
+            r = fn(*args)
+        except (Degenerate, NoConsensus) as exc:
+            return type(exc).__name__, str(exc)
+        return r.point.tobytes(), r.inliers.tobytes(), r.rms_reproj.hex()
+
+    def test_matches_scalar_oracle_bit_for_bit(self):
+        # Random rigs of 2-12 views, exact (tied) and noisy pixels, about 30%
+        # outliers; rigs with a duplicated view (degenerate pairs; at two
+        # views, a degenerate frame) or of scaled copies of one camera;
+        # thresholds tight enough to leave no consensus; and iteration counts
+        # on both sides of a block boundary.
+        rng = np.random.default_rng(23)
+        kinds = set()
+        for trial in range(132):
+            n = 2 + trial % 11
+            cams = [random_camera(rng) for _ in range(n)]
+            ms, points = observe(cams, rng.normal(0.0, 60.0, 3), (0.0, 0.5, 2.0)[trial % 3], rng)
+            outliers = rng.random(n) < 0.3
+            points[outliers] += rng.uniform(-50.0, 50.0, (outliers.sum(), 2))
+            if trial % 5 == 1:
+                ms[-1], points[-1] = ms[0], points[0]
+            elif trial % 12 == 2:
+                ms = ms[0] * rng.uniform(0.5, 2.0, (n, 1, 1))
+            threshold = (5.0, 1e-3, 3.0, 50.0)[trial % 4]
+            iterations = 1500 if trial % 12 == 7 else (1, 2, 25, 100)[trial // 4 % 4]
+            args = (ms, points, threshold, iterations, trial)
+            want = self.outcome(ransac_oracle, *args)
+            assert self.outcome(ransac_triangulate, *args) == want
+            kinds.add(want[0] if isinstance(want[0], str) else "ok")
+        assert kinds == {"ok", "Degenerate", "NoConsensus"}
+
+    def test_ties_go_to_the_earliest_draw(self, monkeypatch):
+        # Views 2g and 2g + 1 see point g, and errors are floored to whole
+        # pixels: the pairs of each view couple tie at two inliers and 0 px,
+        # with different inliers. The first drawn must win, within a block
+        # and across blocks.
+        def whole_pixels(cams, points, x):
+            return np.floor(real(cams, points, x))
+
+        real = reprojection_errors
+        monkeypatch.setattr(triangulation, "reprojection_errors", whole_pixels)
+        monkeypatch.setattr(helpers, "reprojection_errors", whole_pixels)
+        rng = np.random.default_rng(25)
+        for trial in range(12):
+            couples = [observe([random_camera(rng) for _ in range(2)], rng.normal(0.0, 60.0, 3))
+                       for _ in range(2 + trial % 3)]
+            ms, points = (np.concatenate(arrays) for arrays in zip(*couples))
+            args = (ms, points, 1.0, (25, 100, 1500)[trial % 3], trial)
+            want = self.outcome(ransac_oracle, *args)
+            assert self.outcome(ransac_triangulate, *args) == want
+            assert np.count_nonzero(np.frombuffer(want[1], bool)) == 2
+
+    def test_memory_does_not_grow_with_iterations(self):
+        # Pairs are solved a block at a time: ten times the iterations, the
+        # same peak.
+        rng = np.random.default_rng(24)
+        cams = [random_camera(rng) for _ in range(10)]
+        ms, points = observe(cams, visible_point(rng, cams), 0.5, rng)
+        points[[2, 7]] += 30.0
+        ransac_triangulate(ms, points, 4.0, 2000, 1)
+        peaks = []
+        for iterations in (2000, 20000):
+            tracemalloc.start()
+            try:
+                ransac_triangulate(ms, points, 4.0, iterations, 1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 8192
 
 
 class TestTriangulateJoints:
