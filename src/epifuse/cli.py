@@ -288,8 +288,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--obs", required=True)
     p.add_argument("--out", required=True, help="pose CSV path")
     p.add_argument("--threshold", type=float, default=5.0, help="inlier threshold in px")
-    p.add_argument("--iterations", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--iterations", type=int, default=100,
+                   help="RANSAC tries every view pair if at most this many, else draws this many")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the drawn pairs; unused where every pair is tried")
     p.add_argument("--plain", action="store_true", help="plain DLT, no RANSAC")
     p.set_defaults(func=cmd_triangulate)
 

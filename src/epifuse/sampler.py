@@ -33,9 +33,11 @@ from .geometry import (
 
 FMAP_MAGIC = b"FMAP"
 
-# Reference pixels whose lines _segments computes and clips together. Any
-# chunk gives a segment the same bits; this one bounds the temporaries.
-_SEGMENT_CHUNK = 1024
+# Reference pixels whose lines _segments computes and clips together, and
+# whose reads a plan builds together. Any chunk gives a segment or a read the
+# same bits; these bound the temporaries (a pixel has K reads).
+_SEGMENT_CHUNK = 4096
+_READ_CHUNK = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -318,7 +320,7 @@ class SamplingPlan:
     source map, and ends holds their clipped segments. Their reads' corner
     and blend (segment_reads, K reads per pixel in pixel order: 5 values a
     read) are built on first use, which an unrecorded pass at a zero W_z
-    never makes, _SEGMENT_CHUNK pixels at a time into the final arrays.
+    never makes, _READ_CHUNK pixels at a time into the final arrays.
     Built once per view pair, the plan is reusable across any feature or
     parameter values at the same resolutions, and it is all the memory an
     unrecorded forward pass holds besides one block of samples.
@@ -335,8 +337,8 @@ class SamplingPlan:
         # Each read's arithmetic is elementwise: a chunk's reads have the same bits alone.
         n = len(self.ends) * self.k
         corner, blend = np.empty(n, dtype=np.intp), np.empty((4, n))
-        for lo in range(0, len(self.ends), _SEGMENT_CHUNK):
-            part = segment_reads(self.ends[lo : lo + _SEGMENT_CHUNK], self.k, self.src_hw)
+        for lo in range(0, len(self.ends), _READ_CHUNK):
+            part = segment_reads(self.ends[lo : lo + _READ_CHUNK], self.k, self.src_hw)
             rows = slice(lo * self.k, lo * self.k + len(part[1]))
             corner[rows], blend[:, rows] = part[1:]
         return corner, blend

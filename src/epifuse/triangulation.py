@@ -14,8 +14,9 @@ Zisserman, Multiple View Geometry, 2nd ed., section 4.4): in raw millimetres
 W is a small part of that vector, and dividing by it amplifies the error.
 The DLT and the reprojection errors broadcast over leading axes, one system
 per item with the bits of an unbatched call; a NaN row marks a system with
-no solution. RANSAC draws two-view minimal sets a block at a time, solves
-each block with one DLT call and scores it with one error matrix, gates by
+no solution. RANSAC tries every two-view minimal set when there are no more
+than its iterations, and draws that many otherwise; it solves each block of
+sets with one DLT call and scores it with one error matrix, gates by
 reprojection error, and re-estimates over the winning consensus set.
 triangulate_joints runs it, or a plain DLT, over many joints: the
 pipeline's and the CLI's one loop.
@@ -30,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, Degenerate, NoConsensus
-from .geometry import PROJECTION_W
+from .geometry import CENTER_REL, PROJECTION_W
 from .metrics import read_csv
 
 
@@ -56,7 +57,8 @@ def conditioning_frame(cams: np.ndarray) -> np.ndarray:
 
     c is the mean of the camera centers and s their mean distance from it.
     Identity when a center lies at infinity; raises Degenerate when all
-    centers coincide, as no two views then see depth.
+    centers coincide, as no two views then see depth: when s is at most
+    CENTER_REL of the largest center norm (or of 1 mm).
     """
     h = np.linalg.svd(cams)[2][:, 3]
     if np.min(np.abs(h[:, 3])) < PROJECTION_W:
@@ -64,7 +66,7 @@ def conditioning_frame(cams: np.ndarray) -> np.ndarray:
     centers = h[:, :3] / h[:, 3:]
     c = np.mean(centers, axis=0)
     s = np.mean(_norms(centers - c))
-    if not s > 0.0:
+    if s <= CENTER_REL * max(1.0, float(np.max(_norms(centers)))):
         raise Degenerate("all views share one camera center")
     frame = np.diag([s, s, s, 1.0])
     frame[:3, 3] = c
@@ -125,15 +127,17 @@ def ransac_triangulate(
 ) -> TriangulationResult:
     """Consensus triangulation over two-view minimal sets.
 
-    Each iteration triangulates a random pair and counts views whose
-    reprojection error is strictly below threshold_px. The largest consensus
-    wins, with ties broken by lower inlier RMS, then by the earlier draw; the
-    final point is a DLT over the winning consensus, scored once more: the
-    result's inliers and RMS are that point's own. The pairs are drawn up
-    front, _BLOCK at a time (no draw depends on a result); each block is
-    solved with one dlt_triangulate call and scored with one error matrix.
-    Every DLT solves in the joint's one conditioning_frame. Fully
-    deterministic for a fixed seed.
+    When the n views have at most iterations pairs, every pair (i, j), i < j,
+    is tried in lexicographic order and the seed is not used; otherwise
+    iterations random pairs are drawn. Each pair is triangulated and scores
+    the views whose reprojection error is strictly below threshold_px. The
+    largest consensus wins, with ties broken by lower inlier RMS, then by
+    the earlier pair; the final point is a DLT over the winning consensus,
+    scored once more: the result's inliers and RMS are that point's own.
+    The pairs are listed up front, _BLOCK at a time (no draw depends on a
+    result); each block is solved with one dlt_triangulate call and scored
+    with one error matrix. Every DLT solves in the joint's one
+    conditioning_frame. Fully deterministic for a fixed seed.
     """
     n = len(points)
     if n < 2:
@@ -142,19 +146,24 @@ def ransac_triangulate(
         raise ValueError("threshold must be positive")
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
-    rng = np.random.default_rng(seed)
     frame = conditioning_frame(cams)
+    if n * (n - 1) // 2 <= iterations:
+        every = np.stack(np.triu_indices(n, 1), axis=1)
+        blocks = (every[lo : lo + _BLOCK] for lo in range(0, len(every), _BLOCK))
+    else:
+        rng = np.random.default_rng(seed)
+        blocks = (np.array([rng.choice(n, size=2, replace=False)
+                            for _ in range(min(_BLOCK, iterations - start))])
+                  for start in range(0, iterations, _BLOCK))
 
     best_mask, best_count, best_rms = None, 0, np.inf
-    for start in range(0, iterations, _BLOCK):
-        pairs = np.array([rng.choice(n, size=2, replace=False)
-                          for _ in range(min(_BLOCK, iterations - start))])
+    for pairs in blocks:
         mask, count, rms = _block_best(cams, points, pairs, frame, threshold_px)
         if count > best_count or (count == best_count and rms < best_rms):
             best_mask, best_count, best_rms = mask, count, rms
 
     if best_mask is None:
-        raise NoConsensus("no sampled pair produced two or more inliers")
+        raise NoConsensus("no pair produced two or more inliers")
     refined = dlt_triangulate(cams[best_mask], points[best_mask], frame)
     errors = reprojection_errors(cams, points, refined)
     inliers = errors < threshold_px
@@ -168,7 +177,7 @@ def _block_best(
     cams: np.ndarray, points: np.ndarray, pairs: np.ndarray, frame: np.ndarray,
     threshold_px: float,
 ) -> tuple[np.ndarray | None, int, float]:
-    """(inlier mask, count, RMS) of the best of the (P, 2) drawn pairs.
+    """(inlier mask, count, RMS) of the best of the (P, 2) pairs.
 
     Best is the most inliers, then the lowest inlier RMS, then the first;
     (None, 0, inf) when no pair has two inliers. The block's arrays die on

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import itertools
 
 import numpy as np
 
@@ -113,7 +114,7 @@ def pinv_oracle(m) -> np.ndarray:
 #
 # One camera and one point at a time, against which the library's stacked
 # projection (triangulation.reprojection_errors) and DLT rows must agree bit
-# for bit; and RANSAC one drawn pair at a time, against which the blocked
+# for bit; and RANSAC one pair at a time, against which the blocked
 # ransac_triangulate must agree bit for bit.
 
 
@@ -173,7 +174,11 @@ def dlt_oracle(ms, points, frame=None) -> np.ndarray:
 
 
 def ransac_oracle(cams, points, threshold_px=5.0, iterations=100, seed=0) -> TriangulationResult:
-    """ransac_triangulate with one unbatched DLT and error vector per drawn pair, in draw order."""
+    """ransac_triangulate with one unbatched DLT and error vector per pair, in order.
+
+    Every pair of itertools.combinations when there are at most iterations
+    of them, else the drawn pairs in draw order.
+    """
     n = len(points)
     if n < 2:
         raise ValueError("RANSAC needs at least two observations")
@@ -181,12 +186,15 @@ def ransac_oracle(cams, points, threshold_px=5.0, iterations=100, seed=0) -> Tri
         raise ValueError("threshold must be positive")
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
-    rng = np.random.default_rng(seed)
     frame = conditioning_frame(cams)
+    if n * (n - 1) // 2 <= iterations:
+        pairs = [list(pair) for pair in itertools.combinations(range(n), 2)]
+    else:
+        rng = np.random.default_rng(seed)
+        pairs = [rng.choice(n, size=2, replace=False) for _ in range(iterations)]
 
     best_mask, best_count, best_rms = None, 0, np.inf
-    for _ in range(iterations):
-        pair = rng.choice(n, size=2, replace=False)
+    for pair in pairs:
         try:
             x = dlt_triangulate(cams[pair], points[pair], frame)
         except Degenerate:
@@ -201,7 +209,7 @@ def ransac_oracle(cams, points, threshold_px=5.0, iterations=100, seed=0) -> Tri
             best_mask, best_count, best_rms = mask, count, rms
 
     if best_mask is None:
-        raise NoConsensus("no sampled pair produced two or more inliers")
+        raise NoConsensus("no pair produced two or more inliers")
     refined = dlt_triangulate(cams[best_mask], points[best_mask], frame)
     errors = reprojection_errors(cams, points, refined)
     inliers = errors < threshold_px

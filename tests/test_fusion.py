@@ -22,6 +22,7 @@ from epifuse.fusion import (
 )
 from epifuse.geometry import CameraView
 from epifuse.sampler import (
+    _SEGMENT_CHUNK,
     FeatureMap,
     _plan_pixels,
     _segments,
@@ -465,9 +466,10 @@ class TestBlockedForward:
         # Set-up keeps valid and 4 segment-end floats per valid pixel. While
         # building them it holds the pixel coordinates (2 floats a pixel),
         # the ends twice as its chunks are joined (8), and one chunk's
-        # homogeneous pixels, lines and clipping temporaries (under 32 floats
-        # for each of the chunk's 1024 pixels): 10.5 floats a pixel here, where
-        # the unblocked build held 29.5. One read-sized array would be 64.
+        # homogeneous pixels, lines and clipping temporaries (the chunk is
+        # 4096 pixels; the bound allows 8 floats for each): 10.4 floats a
+        # pixel here, where the unblocked build held 29.5. A chunk of 6400
+        # pixels read 13.0 and failed. One read-sized array would be 64.
         ref, src = general_pair(160)
         tracemalloc.start()
         try:
@@ -492,12 +494,14 @@ class TestBlockedForward:
 
 
     def test_segments_do_not_depend_on_the_block(self):
-        # A 48x48 plan is built in three chunks of pixels; a row alone is one.
-        ref, src = general_pair(48)
-        plan = plan_epipolar_sampling(ref, src, (48, 48), (48, 48), 8)
-        xs = np.arange(48, dtype=np.float64)
-        rows = [_segments(ref, src, (48, 48), (48, 48), xs, np.full(48, float(y)))
-                for y in range(48)]
+        # A 100x100 plan is built in three chunks of pixels, the last one
+        # ragged (4096, 4096, 1808); a row alone is one.
+        assert 2 * _SEGMENT_CHUNK < 100 * 100 < 3 * _SEGMENT_CHUNK
+        ref, src = general_pair(100)
+        plan = plan_epipolar_sampling(ref, src, (100, 100), (100, 100), 8)
+        xs = np.arange(100, dtype=np.float64)
+        rows = [_segments(ref, src, (100, 100), (100, 100), xs, np.full(100, float(y)))
+                for y in range(100)]
         assert same_bits(plan.valid, np.concatenate([valid for valid, _ in rows]))
         assert same_bits(plan.ends, np.concatenate([ends for _, ends in rows]))
 

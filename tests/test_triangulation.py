@@ -187,6 +187,18 @@ class TestConditioningFrame:
         with pytest.raises(Degenerate):
             conditioning_frame(stack([cam, CameraView(2.0 * cam.M, cam.width, cam.height)]))
 
+    def test_scaled_copies_of_one_camera_are_degenerate(self):
+        # Scaled copies share a center up to rounding, not bit for bit: their
+        # frame was a few 1e-12 mm across, and RANSAC found two inliers.
+        cam = ring_cameras(3)[0]
+        ms = cam.M * np.array([1.0, 0.5, 2.0, 3.0, 0.7])[:, None, None]
+        points = np.array([project(cam, [10.0, 0.0, 20.0])] * 5)
+        points[1:] += np.arange(1, 5)[:, None] * 0.01
+        with pytest.raises(Degenerate, match="share one camera center"):
+            ransac_triangulate(ms, points)
+        got = triangulate_joints([(ms, points)], 5.0, 100, np.random.SeedSequence(0))
+        assert got == ["all views share one camera center"]
+
 
 class TestReprojectionError:
     def test_exact_projection_is_zero(self):
@@ -351,43 +363,109 @@ class TestRansac:
         assert kinds == {"ok", "Degenerate", "NoConsensus"}
 
     def test_ties_go_to_the_earliest_draw(self, monkeypatch):
-        # Views 2g and 2g + 1 see point g, and errors are floored to whole
-        # pixels: the pairs of each view couple tie at two inliers and 0 px,
-        # with different inliers. The first drawn must win, within a block
-        # and across blocks.
-        def whole_pixels(cams, points, x):
-            return np.floor(real(cams, points, x))
+        # Views 2g and 2g + 1 see point g, and errors are floored to 1e-3 px
+        # (the gate): the pairs of each view couple tie at two inliers and 0 px,
+        # with different inliers. With every pair tried, the first, (0, 1),
+        # must win; with pairs drawn, the first drawn (as the oracle's). Both
+        # within a block and across blocks: 46 views have 1035 pairs.
+        def floored(cams, points, x):
+            return np.floor(real(cams, points, x) * 1e3) / 1e3
 
         real = reprojection_errors
-        monkeypatch.setattr(triangulation, "reprojection_errors", whole_pixels)
-        monkeypatch.setattr(helpers, "reprojection_errors", whole_pixels)
+        monkeypatch.setattr(triangulation, "reprojection_errors", floored)
+        monkeypatch.setattr(helpers, "reprojection_errors", floored)
         rng = np.random.default_rng(25)
-        for trial in range(12):
+        cases = [(4, 5), (4, 14), (6, 12), (6, 14), (6, 1030), (46, 1030), (46, 1500), (4, 1500)]
+        for trial in range(16):
+            n, iterations = cases[trial % 8]
             couples = [observe([random_camera(rng) for _ in range(2)], rng.normal(0.0, 60.0, 3))
-                       for _ in range(2 + trial % 3)]
+                       for _ in range(n // 2)]
             ms, points = (np.concatenate(arrays) for arrays in zip(*couples))
-            args = (ms, points, 1.0, (25, 100, 1500)[trial % 3], trial)
+            args = (ms, points, 1e-3, iterations, trial)
             want = self.outcome(ransac_oracle, *args)
             assert self.outcome(ransac_triangulate, *args) == want
-            assert np.count_nonzero(np.frombuffer(want[1], bool)) == 2
+            if n * (n - 1) // 2 <= iterations:
+                first = [0, 1]
+            else:
+                draws = np.random.default_rng(trial)
+                pairs = (sorted(draws.choice(n, 2, replace=False)) for _ in range(iterations))
+                first = next((p for p in pairs if p[0] % 2 == 0 and p[1] == p[0] + 1), None)
+            if first is None:  # no couple drawn
+                assert want[0] == "NoConsensus"
+            else:
+                assert np.flatnonzero(np.frombuffer(want[1], bool)).tolist() == first
+
+    def test_every_pair_tried_needs_no_seed(self, monkeypatch):
+        # C(n, 2) <= iterations: the result is the same for every seed, and
+        # no generator is made.
+        def no_generator(*args):
+            raise AssertionError("the random generator was used")
+
+        rng = np.random.default_rng(26)
+        rigs = []
+        for n in (2, 5, 9):
+            cams = [random_camera(rng) for _ in range(n)]
+            ms, points = observe(cams, rng.normal(0.0, 60.0, 3), 1.0, rng)
+            points[rng.random(n) < 0.3] += rng.uniform(-50.0, 50.0, 2)
+            rigs.append((ms, points))
+        wants = [self.outcome(ransac_triangulate, ms, points, 3.0, 36, 0) for ms, points in rigs]
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        for seed in (1, 7, np.random.SeedSequence(3)):
+            got = [self.outcome(ransac_triangulate, ms, points, 3.0, 36, seed)
+                   for ms, points in rigs]
+            assert got == wants
+
+    def test_every_pair_finds_at_least_the_drawn_consensus(self, monkeypatch):
+        # The winning pair's consensus over all pairs is never smaller than
+        # over drawn ones, whatever the seed (the sampled path is the
+        # oracle's, bit for bit).
+        def best_count(iterations, seed):
+            counts.clear()
+            try:
+                ransac_triangulate(ms, points, 2.0, iterations, seed)
+            except NoConsensus:
+                pass
+            return max(counts)
+
+        def spy(*args):
+            best = block_best(*args)
+            counts.append(best[1])
+            return best
+
+        block_best, counts = triangulation._block_best, []
+        monkeypatch.setattr(triangulation, "_block_best", spy)
+        rng = np.random.default_rng(27)
+        for trial in range(40):
+            n = 3 + trial % 8
+            cams = [random_camera(rng) for _ in range(n)]
+            ms, points = observe(cams, rng.normal(0.0, 60.0, 3), 0.5, rng)
+            outliers = rng.random(n) < 0.4
+            points[outliers] += rng.uniform(-20.0, 20.0, (outliers.sum(), 2))
+            pairs = n * (n - 1) // 2
+            every = best_count(pairs, 0)
+            for seed in range(4):
+                assert every >= best_count(2, seed)
+                assert every >= best_count(pairs - 1, seed)
 
     def test_memory_does_not_grow_with_iterations(self):
         # Pairs are solved a block at a time: ten times the iterations, the
-        # same peak.
+        # same peak, whether the 10 views' 45 pairs are all tried or the 201
+        # views' 20,100 pairs are drawn.
         rng = np.random.default_rng(24)
-        cams = [random_camera(rng) for _ in range(10)]
-        ms, points = observe(cams, visible_point(rng, cams), 0.5, rng)
-        points[[2, 7]] += 30.0
-        ransac_triangulate(ms, points, 4.0, 2000, 1)
-        peaks = []
-        for iterations in (2000, 20000):
-            tracemalloc.start()
-            try:
-                ransac_triangulate(ms, points, 4.0, iterations, 1)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert abs(peaks[1] - peaks[0]) < 8192
+        for n in (10, 201):
+            cams = [random_camera(rng) for _ in range(n)]
+            ms, points = observe(cams, rng.normal(0.0, 20.0, 3), 0.5, rng)
+            points[[2, 7]] += 30.0
+            ransac_triangulate(ms, points, 4.0, 2000, 1)
+            peaks = []
+            for iterations in (2000, 20000):
+                tracemalloc.start()
+                try:
+                    ransac_triangulate(ms, points, 4.0, iterations, 1)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            assert abs(peaks[1] - peaks[0]) < 8192
 
 
 class TestTriangulateJoints:
