@@ -12,17 +12,19 @@ where the bottleneck scores in an embedded half-width space, w ~ softmax of
 (theta^T q) . (phi^T s_i). Pixels whose epipolar line misses the source map
 are passed through unchanged. Logits are plain dot products.
 
-The forward pass gathers and attends the valid pixels of a
-sampler.SamplingPlan in fixed blocks of _BLOCK, so its memory is the plan
-plus one block of samples, and its output bytes depend on neither the block
-nor the thread count: every pixel's arithmetic is the same whichever block
-it falls in. Unrecorded at a zero W_z, a pass makes no reads and adds the
-blocks' 0.0 to the valid pixels. A recorded pass keeps only the plan, the
-parameters and the maps; transformer_backward rebuilds each block from them
-and returns exact analytic gradients for both feature maps and all fusion
-parameters. Sample locations depend only on camera geometry, so no gradient
-flows through them; in max mode the weights are piecewise constant and the
-backward pass differentiates the locally selected branch.
+The forward pass reads, gathers and attends the valid pixels of a
+sampler.SamplingPlan in fixed blocks of _BLOCK, building each block's reads
+from its segments with sampler.segment_reads. So its memory is the plan's
+segments plus one block of reads and samples, and its output bytes depend on
+neither the block nor the thread count: every pixel's arithmetic is the same
+whichever block it falls in. Unrecorded at a zero W_z, a pass makes no reads
+and adds the blocks' 0.0 to the valid pixels. A recorded pass keeps only the
+plan, the parameters and the maps; transformer_backward rebuilds each block,
+its reads included, from them and returns exact analytic gradients for both
+feature maps and all fusion parameters. Sample locations depend only on
+camera geometry, so no gradient flows through them; in max mode the weights
+are piecewise constant and the backward pass differentiates the locally
+selected branch.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .sampler import (
     bilinear_gather,
     bilinear_scatter,
     plan_epipolar_sampling,
+    segment_reads,
 )
 
 VARIANTS = ("identity", "bottleneck")
@@ -231,16 +234,16 @@ def _attend_at(f_ref, f_src, ref, src, params, k, pixels):
 
 
 def _blocks(plan: SamplingPlan, f_src: FeatureMap):
-    """(valid-pixel slice, read slice, (nb, K, C) samples) of each _BLOCK, in plan order."""
+    """(valid-pixel slice, its (corner, blend) reads, (nb, K, C) samples) of each _BLOCK."""
     src_h, src_w = plan.src_hw
     k, c = plan.k, f_src.channels
     src_flat = f_src.data.reshape(src_h * src_w, c)
     n = len(plan.ends)
     for lo in range(0, n, _BLOCK):
         hi = min(lo + _BLOCK, n)
-        reads = slice(lo * k, hi * k)
-        samples = bilinear_gather(src_flat, src_w, plan.corner[reads], plan.blend[:, reads])
-        yield slice(lo, hi), reads, samples.reshape(hi - lo, k, c)
+        _, corner, blend = segment_reads(plan.ends[lo:hi], k, plan.src_hw)
+        samples = bilinear_gather(src_flat, src_w, corner, blend)
+        yield slice(lo, hi), (corner, blend), samples.reshape(hi - lo, k, c)
 
 
 def transformer_forward(
@@ -258,13 +261,14 @@ def transformer_forward(
 
     Every pixel is processed independently; skipped pixels (no epipolar
     intersection) keep their reference feature bit for bit. Valid pixels
-    are gathered and attended in fixed blocks of _BLOCK, so memory beyond
-    the plan is one block of samples. Unrecorded at a zero w_z, it reads
-    nothing and adds 0.0 to the valid pixels: the blocks' bits, unless a
-    logit overflows to inf, which the blocks' softmax turns into NaN. With
-    record_grad the state keeps only the plan, the parameters and the two
-    maps (not copied), from which transformer_backward rebuilds each block.
-    Pass a precomputed plan to amortize the geometry across repeated calls
+    are read, gathered and attended in fixed blocks of _BLOCK, so memory
+    beyond the plan's segments is one block of reads and samples.
+    Unrecorded at a zero w_z, it reads nothing and adds 0.0 to the valid
+    pixels: the blocks' bits, unless a logit overflows to inf, which the
+    blocks' softmax turns into NaN. With record_grad the state keeps only
+    the plan, the parameters and the two maps (not copied), from which
+    transformer_backward rebuilds each block, its reads included. Pass a
+    precomputed plan to amortize the segment geometry across repeated calls
     with the same cameras, map shapes, and K. _attend_at gives the weights
     of chosen pixels alone, with the same bits.
     """
@@ -299,11 +303,12 @@ def transformer_backward(state: _ForwardState | None, grad_fused: np.ndarray) ->
     grad_fused is dL/d(fused map) as an (H, W, C) array. Returns gradients for
     the reference map, the source map, and every fusion parameter; skipped
     pixels contribute identity gradients to the reference map only. Each of
-    the forward's blocks is gathered and attended again, with its bits, and
-    its sample gradients scatter into a channel-major (C, H*W) source map:
-    memory is one block plus a few per-pixel arrays. Per-pixel terms are
-    reduced over all pixels at once; sums over reads (f_src, phi, g) add up
-    block by block in a fixed order, so results repeat run to run.
+    the forward's blocks is read, gathered and attended again, with its bits,
+    and its sample gradients scatter through the same reads into a
+    channel-major (C, H*W) source map: memory is one block plus a few
+    per-pixel arrays. Per-pixel terms are reduced over all pixels at once;
+    sums over reads (f_src, phi, g) add up block by block in a fixed order,
+    so results repeat run to run.
     """
     if state is None:
         raise ValueError("forward pass was not run with record_grad=True")
@@ -333,7 +338,7 @@ def transformer_backward(state: _ForwardState | None, grad_fused: np.ndarray) ->
     d_src = np.zeros((c, src_h * src_w))
     theta_g, phi_g, g_g = (None,) * 3 if identity else (
         np.zeros_like(e) for e in (params.theta, params.phi, params.g))
-    for pixels, reads, samples in _blocks(plan, state.f_src):
+    for pixels, (corner, blend), samples in _blocks(plan, state.f_src):
         nb = len(samples)
         q = queries[pixels]
         weights, _, saved = _attend(params, q, samples)
@@ -359,8 +364,7 @@ def transformer_backward(state: _ForwardState | None, grad_fused: np.ndarray) ->
                 dv = (dz[:, :, None] * saved["u"][:, None, :]).reshape(nb * k, c // 2)
                 ds += params.phi @ dv.T
                 phi_g += flat.T @ dv
-        bilinear_scatter(ds.reshape(c, nb * k), d_src, src_w,
-                         plan.corner[reads], plan.blend[:, reads])
+        bilinear_scatter(ds.reshape(c, nb * k), d_src, src_w, corner, blend)
 
     if identity:
         wz_g = np.einsum("nc,nj->cj", gv, pooled)

@@ -6,9 +6,10 @@ feature vectors at those locations with bilinear interpolation. A query
 whose line misses the image entirely is skipped (None), mirroring how the
 fusion stage passes such pixels through untouched.
 
-One rule, segment_reads, turns clipped segments into reads. The dense
-SamplingPlan applies it to every reference pixel of a view pair at once,
-and epipolar_samples to the one segment of a single query.
+One rule, segment_reads, turns clipped segments into reads. A dense
+SamplingPlan holds the segments of every reference pixel of a view pair,
+and a pass applies the rule to one block of them at a time;
+epipolar_samples applies it to the one segment of a single query.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -33,11 +33,9 @@ from .geometry import (
 
 FMAP_MAGIC = b"FMAP"
 
-# Reference pixels whose lines _segments computes and clips together, and
-# whose reads a plan builds together. Any chunk gives a segment or a read the
-# same bits; these bound the temporaries (a pixel has K reads).
+# Reference pixels whose lines _segments computes and clips together. Any
+# chunk gives a segment the same bits; this bounds the temporaries.
 _SEGMENT_CHUNK = 4096
-_READ_CHUNK = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,10 +218,11 @@ def bilinear_plan(height: int, width: int, points: np.ndarray) -> tuple[np.ndarr
     points = np.asarray(points, dtype=np.float64)
     # np.maximum(0.0, v) keeps v on a tie, as np.clip does, so -0.0 stays
     # -0.0. floor(x) >= 0 once x is clamped: x0 and y0 need no lower clamp.
-    # Temporaries are written in place, because a dense plan holds millions
-    # of reads. blend comes first and holds the floors until the weights
-    # overwrite it; allocated last, it let glibc trim and re-fault the heap
-    # on every small dense plan (3.7x the page faults at 64x64, K=16).
+    # Temporaries are written in place, because a dense pass builds its
+    # reads a block at a time, again on every pass. blend comes first and
+    # holds the floors until the weights overwrite it; allocated last, it let
+    # glibc trim and re-fault the heap on every small dense read build (3.7x
+    # the page faults at 64x64, K=16).
     blend = np.empty((4, len(points)))
     x = np.maximum(0.0, points[:, 0])
     np.minimum(x, float(width - 1), out=x)
@@ -276,15 +275,20 @@ def bilinear_scatter(
     """Adjoint of bilinear_gather: add channel-major (C, N) read gradients into out.
 
     out is a channel-major (C, H*W) map. Each channel, one contiguous row of
-    grad, is one segment sum over the corners in plan order (all top-left
-    corners first, then right, lower, lower-right), added to out's row in
-    place, so every map pixel adds its contributions in a fixed order.
+    grad, is one segment sum over the corners in read order (all top-left
+    corners first, then right, lower, lower-right), added in place to the
+    slice of out's row from the lowest to the highest map pixel the reads
+    touch, so every map pixel adds its contributions in a fixed order. Entries outside that
+    range are left as they are, and with no reads out is untouched.
     """
-    index = _corner_index(corner, width).ravel()
+    if not len(corner):
+        return
+    lo, hi = corner.min(), corner.max() + width + 2
+    index = _corner_index(corner - lo, width).ravel()
     weighted = np.empty_like(blend)
-    for row, acc in zip(grad, out):
+    for row, acc in zip(grad, out[:, lo:hi]):
         np.multiply(blend, row, out=weighted)
-        acc += np.bincount(index, weighted.ravel(), minlength=len(acc))
+        acc += np.bincount(index, weighted.ravel(), minlength=hi - lo)
 
 
 def bilinear_many(fmap: FeatureMap, points: np.ndarray) -> np.ndarray:
@@ -304,26 +308,25 @@ def segment_reads(
     segment order.
     """
     t = sample_parameters(k)
-    p0 = ends[:, :2]
-    d = ends[:, 2:] - p0
-    locations = t[None, :, None] * d[:, None, :]
-    locations += p0[:, None, :]
+    # x, then y: a broadcast whose innermost axis has 2 entries is 3x slower on a block.
+    locations = np.empty((len(ends), k, 2))
+    for j in (0, 1):
+        coord = np.multiply(t, ends[:, 2 + j, None] - ends[:, j, None], out=locations[:, :, j])
+        coord += ends[:, j, None]
     corner, blend = bilinear_plan(*src_hw, locations.reshape(-1, 2))
     return locations, corner, blend
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class SamplingPlan:
     """Geometry of a dense forward pass: one epipolar segment per pixel.
 
     valid flags the reference pixels (row-major) whose line intersects the
-    source map, and ends holds their clipped segments. Their reads' corner
-    and blend (segment_reads, K reads per pixel in pixel order: 5 values a
-    read) are built on first use, which an unrecorded pass at a zero W_z
-    never makes, _READ_CHUNK pixels at a time into the final arrays.
+    source map, and ends holds their clipped segments: 4 floats a valid
+    pixel, and no reads. A pass builds each block's K reads a pixel from its
+    segments with segment_reads, so it holds one block of reads at a time.
     Built once per view pair, the plan is reusable across any feature or
-    parameter values at the same resolutions, and it is all the memory an
-    unrecorded forward pass holds besides one block of samples.
+    parameter values at the same resolutions.
     """
 
     ref_hw: tuple[int, int]
@@ -331,20 +334,6 @@ class SamplingPlan:
     k: int
     valid: np.ndarray  # (H*W,) bool
     ends: np.ndarray  # (n_valid, 4) segment x0, y0, x1, y1
-
-    @cached_property
-    def _bilinear(self) -> tuple[np.ndarray, np.ndarray]:
-        # Each read's arithmetic is elementwise: a chunk's reads have the same bits alone.
-        n = len(self.ends) * self.k
-        corner, blend = np.empty(n, dtype=np.intp), np.empty((4, n))
-        for lo in range(0, len(self.ends), _READ_CHUNK):
-            part = segment_reads(self.ends[lo : lo + _READ_CHUNK], self.k, self.src_hw)
-            rows = slice(lo * self.k, lo * self.k + len(part[1]))
-            corner[rows], blend[:, rows] = part[1:]
-        return corner, blend
-
-    corner = property(lambda self: self._bilinear[0], doc="(n_valid*K,) flat top-left corners")
-    blend = property(lambda self: self._bilinear[1], doc="(4, n_valid*K) corner weights")
 
 
 def plan_epipolar_sampling(

@@ -753,9 +753,10 @@ def gradient_check(
     """Compare transformer_backward against central finite differences.
 
     Checks every entry of every input and parameter gradient on a random
-    two-camera rig with random maps. The sampling geometry is planned once
-    and shared across evaluations since it does not depend on the perturbed
-    quantities. The relative error is floored at unit scale; a pure ratio
+    two-camera rig with random maps. The epipolar segments are planned once
+    and shared across evaluations since they do not depend on the perturbed
+    quantities; every evaluation builds its reads from them, block by block,
+    as any pass does. The relative error is floored at unit scale; a pure ratio
     would blow up on true-zero gradients where finite differences only see
     rounding noise.
     """

@@ -10,7 +10,7 @@ import numpy as np
 from epifuse.errors import Degenerate, NoConsensus
 from epifuse.fusion import _BLOCK, _attend, _batch_weights
 from epifuse.geometry import PROJECTION_W, CameraView
-from epifuse.sampler import bilinear_many
+from epifuse.sampler import bilinear_many, segment_reads
 from epifuse.triangulation import (
     OBS_FIELDS,
     TriangulationResult,
@@ -269,13 +269,17 @@ def fuse_bottleneck(ref_feat, samples, params) -> np.ndarray:
 # the blocked forward and the segment-sum scatter must agree bit for bit.
 
 
+def plan_reads(plan) -> tuple[np.ndarray, np.ndarray]:
+    """(corner, blend) of every read of plan, built from all its segments in one piece."""
+    return segment_reads(plan.ends, plan.k, plan.src_hw)[1:]
+
+
 def gather_all_samples(plan, src_data) -> np.ndarray:
     """(n_valid, K, C) samples of every valid pixel, by four fancy-index gathers."""
     src_h, src_w = plan.src_hw
     c = src_data.shape[2]
     flat = src_data.reshape(src_h * src_w, c)
-    i00 = plan.corner
-    w00, w10, w01, w11 = plan.blend
+    i00, (w00, w10, w01, w11) = plan_reads(plan)
     s = (
         w00[:, None] * flat[i00]
         + w10[:, None] * flat[i00 + 1]
@@ -383,11 +387,12 @@ def einsum_backward(plan, params, state, grad_fused) -> dict:
     # in turn; summing the same blocks in the same order keeps its bits.
     ds = ds.reshape(-1, c).T
     d_src = np.zeros((src_h * src_w, c))
+    corner, blend = plan_reads(plan)
     step = _BLOCK * plan.k
     for lo in range(0, ds.shape[1], step):
         reads = slice(lo, lo + step)
         d_src += add_at_scatter(ds[:, reads], src_h * src_w, src_w,
-                                plan.corner[reads], plan.blend[:, reads])
+                                corner[reads], blend[:, reads])
     grads["f_ref"] = d_ref.reshape(h, w, c)
     grads["f_src"] = d_src.reshape(src_h, src_w, c)
     return grads

@@ -15,6 +15,7 @@ from epifuse.fusion import (
     _BLOCK,
     FusionParams,
     _attend_at,
+    _blocks,
     _ForwardState,
     similarity_weights,
     transformer_backward,
@@ -26,10 +27,10 @@ from epifuse.sampler import (
     FeatureMap,
     _plan_pixels,
     _segments,
+    bilinear_plan,
     bilinear_scatter,
     epipolar_samples,
     plan_epipolar_sampling,
-    segment_reads,
 )
 from helpers import (
     add_at_scatter,
@@ -40,6 +41,7 @@ from helpers import (
     fuse_bottleneck,
     fuse_identity,
     look_at_camera,
+    plan_reads,
     rectified_pair,
     unblocked_forward,
 )
@@ -401,15 +403,50 @@ class TestBlockedForward:
     @pytest.mark.parametrize("n_valid", VALID_COUNTS)
     def test_scatter_matches_add_at_oracle(self, pair, n_valid):
         *_, full_plan = pair
-        plan = first_valid(full_plan, n_valid)
-        grad = np.random.default_rng(n_valid).standard_normal((self.C, plan.corner.size))
-        want = add_at_scatter(grad, 32 * 32, 32, plan.corner, plan.blend)
+        corner, blend = plan_reads(first_valid(full_plan, n_valid))
+        grad = np.random.default_rng(n_valid).standard_normal((self.C, corner.size))
+        want = add_at_scatter(grad, 32 * 32, 32, corner, blend)
         got = np.zeros((self.C, 32 * 32))
-        bilinear_scatter(grad, got, 32, plan.corner, plan.blend)
+        bilinear_scatter(grad, got, 32, corner, blend)
         assert same_bits(got.T.copy(), want)
         # Adding into a map already holding the sums doubles it exactly.
-        bilinear_scatter(grad, got, 32, plan.corner, plan.blend)
+        bilinear_scatter(grad, got, 32, corner, blend)
         assert same_bits(got.T.copy(), want + want)
+
+    def test_scatter_with_no_reads_leaves_out_untouched(self):
+        out = np.random.default_rng(3).standard_normal((self.C, 32 * 32))
+        out[:, ::3] = -0.0
+        before = out.copy()
+        bilinear_scatter(np.empty((self.C, 0)), out, 32, np.empty(0, dtype=np.intp),
+                         np.empty((4, 0)))
+        assert same_bits(out, before)
+
+    @pytest.mark.parametrize("xy", [(0.0, 0.0), (31.0, 23.0)], ids=["first", "last"])
+    def test_scatter_at_the_map_edges(self, xy):
+        # 50 reads of only the first or only the last pixel of a 24x32 map:
+        # the touched range starts at index 0 or ends at H*W. Onto a map
+        # holding values, the scatter adds what a full-row add_at adds, bit
+        # for bit.
+        corner, blend = bilinear_plan(24, 32, np.tile(xy, (50, 1)))
+        assert np.count_nonzero(blend) == 50
+        rng = np.random.default_rng(4)
+        grad = rng.standard_normal((self.C, 50))
+        out = rng.standard_normal((self.C, 24 * 32))
+        want = out + add_at_scatter(grad, 24 * 32, 32, corner, blend).T
+        bilinear_scatter(grad, out, 32, corner, blend)
+        assert same_bits(out, want)
+
+    def test_scatter_leaves_negative_zero_outside_its_range(self):
+        # Entries outside the touched range are left as they are, -0.0
+        # included; inside it untouched ones gain +0.0, as a full-row add does.
+        corner, blend = bilinear_plan(32, 32, np.array([[4.5, 10.5], [20.25, 11.75]]))
+        out = np.full((self.C, 32 * 32), -0.0)
+        bilinear_scatter(np.ones((self.C, 2)), out, 32, corner, blend)
+        lo, hi = corner.min(), corner.max() + 32 + 2
+        assert np.all(np.signbit(out[:, :lo])) and np.all(np.signbit(out[:, hi:]))
+        assert not np.any(np.signbit(out[:, lo:hi]))
+        assert same_bits(out[:, lo:hi].T.copy(), add_at_scatter(
+            np.ones((self.C, 2)), 32 * 32, 32, corner, blend)[lo:hi])
 
     def test_forward_memory_is_plan_plus_one_block(self, big_pair):
         # 160x160, K=64, C=16: all samples at once would take 200 MB. The
@@ -446,9 +483,10 @@ class TestBlockedForward:
     def test_backward_memory(self, big_pair, variant, bound):
         # The backward holds seven per-pixel arrays of about 3 MB (C=16, or
         # 1.6 MB at C/2), the (C, H*W) source gradient, and one block: a 4 MB
-        # gather and its 1 MB (C, nb, K) ds. The bounds sit just above the
-        # peaks at this size (32.3 and 30.6 MB), so one more per-pixel array,
-        # or any (n, K, C) one (210 MB), does not fit.
+        # gather and its 1 MB (C, nb, K) ds. The bounds were set just above
+        # the peaks of a scatter that added whole H*W rows (32.3 and 30.6 MB);
+        # the ranged scatter peaks at 30.0 and 27.4 MB. Any (n, K, C) array
+        # (210 MB) does not fit.
         ref, src, f_ref, f_src, plan = big_pair
         params = make_params(variant, "softmax", 16, seed=23)
         state = transformer_forward(f_ref, f_src, ref, src, params, 64,
@@ -475,22 +513,33 @@ class TestBlockedForward:
         try:
             plan = plan_epipolar_sampling(ref, src, (160, 160), (160, 160), 64)
             setup = tracemalloc.get_traced_memory()[1]
-            tracemalloc.reset_peak()
-            plan.corner
-            reading = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         arrays = [v for v in vars(plan).values() if isinstance(v, np.ndarray)]
         n_valid = np.count_nonzero(plan.valid)
         assert sum(a.nbytes for a in arrays) == 4 * n_valid * 8 + plan.valid.nbytes
         assert setup < 10.5 * plan.valid.size * 8 + 32 * 1024 * 8
-        # Reading adds 5 values per read (1 corner, 4 blend). They are built
-        # 1024 pixels (65,536 reads) at a time, and a chunk's locations, reads
-        # and temporaries measure 18.7 values per read of the chunk.
-        reads = plan.corner.size
-        assert reads == n_valid * 64
-        assert plan.corner.nbytes + plan.blend.nbytes == 5 * reads * 8
-        assert reading < 5 * reads * 8 + 19 * 1024 * 64 * 8
+
+    @pytest.mark.parametrize("variant", ["identity", "bottleneck"])
+    def test_recorded_pass_holds_one_block_of_reads(self, big_pair, variant):
+        # A fresh plan, recorded forward plus backward: 30.0 (identity) and
+        # 27.4 MB (bottleneck) peaks. The plan keeps no reads, and each block
+        # builds its own 8192 (its locations, reads and temporaries peak at
+        # 11 values a read, 0.7 MB). A plan holding all its reads, 5 values a
+        # read, held 63.3 MB of them here and peaked at 92.5 and 89.9 MB.
+        ref, src, f_ref, f_src, _ = big_pair
+        plan = plan_epipolar_sampling(ref, src, (160, 160), (160, 160), 64)
+        params = make_params(variant, "softmax", 16, seed=23)
+        upstream = np.random.default_rng(24).standard_normal((160, 160, 16))
+        tracemalloc.start()
+        try:
+            state = transformer_forward(f_ref, f_src, ref, src, params, 64,
+                                        plan=plan, record_grad=True).state
+            transformer_backward(state, upstream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
 
 
     def test_segments_do_not_depend_on_the_block(self):
@@ -676,12 +725,11 @@ class TestZeroResidual:
             assert not same_bits(want, f_ref.data)  # some -0.0 became +0.0
 
         supplied = None if n_valid is None else first_valid(full_plan, n_valid)
-        for name in ("fusion._blocks", "fusion._attend", "sampler.segment_reads"):
+        for name in ("fusion._blocks", "fusion._attend", "fusion.segment_reads"):
             monkeypatch.setattr(f"epifuse.{name}", fail_if_called)
         out = transformer_forward(f_ref, f_src, ref, src, params, PAIR_K, plan=supplied)
         assert same_bits(out.fused.data, want)
         assert out.state is None
-        assert supplied is None or "_bilinear" not in vars(supplied)
 
     @pytest.mark.parametrize("variant", ["identity", "bottleneck"])
     @pytest.mark.parametrize("mode", ["softmax", "max"])
@@ -692,7 +740,7 @@ class TestZeroResidual:
         params = zero_residual(make_params(variant, mode, PAIR_C, seed=21))
         out = transformer_forward(f_ref, f_src, ref, src, params, PAIR_K,
                                   plan=plan, record_grad=True)
-        assert out.state is not None and "_bilinear" in vars(plan)
+        assert out.state is not None
         upstream = np.random.default_rng(25).standard_normal((32, 32, PAIR_C))
         grads = transformer_backward(out.state, upstream)
         _, want_state = unblocked_forward(f_ref, f_src, params, plan, einsum_attend)
@@ -715,30 +763,32 @@ class TestZeroResidual:
 
 
 class TestLazyPlan:
-    """A plan keeps its segment ends and builds its reads on first use."""
+    """A plan keeps only its segment ends; a pass builds each block's reads from them."""
 
     @pytest.mark.parametrize("k", ORACLE_KS)
     def test_reads_equal_plan_pixels(self, pair, k):
         ref, src, *_ = pair
         plan = plan_epipolar_sampling(ref, src, (32, 32), (32, 32), k)
-        assert "_bilinear" not in vars(plan)
         valid, _, corner, blend = dense_plan_pixels(ref, src, (32, 32), k)
         assert same_bits(plan.valid, valid)
-        assert same_bits(plan.blend, blend) and same_bits(plan.corner, corner)
-        assert plan.corner is plan.corner and plan.blend is plan.blend
+        got = plan_reads(plan)
+        assert same_bits(got[0], corner) and same_bits(got[1], blend)
         # A plan cut to its first valid pixels reads what the whole plan reads first.
         for n_valid in VALID_COUNTS:
-            cut = first_valid(plan, n_valid)
-            assert same_bits(cut.corner, corner[: n_valid * k])
-            assert same_bits(cut.blend, blend[:, : n_valid * k])
+            cut_corner, cut_blend = plan_reads(first_valid(plan, n_valid))
+            assert same_bits(cut_corner, corner[: n_valid * k])
+            assert same_bits(cut_blend, blend[:, : n_valid * k])
 
     def test_reads_built_in_chunks_equal_one_piece(self):
-        # A 48x48 plan builds its reads in three chunks of 1024 pixels.
+        # A 48x48 plan is read in more than 16 blocks of _BLOCK pixels, the last ragged.
         ref, src = general_pair(48)
         plan = plan_epipolar_sampling(ref, src, (48, 48), (48, 48), 8)
-        assert len(plan.ends) > 2 * 1024
-        _, corner, blend = segment_reads(plan.ends, 8, (48, 48))
-        assert same_bits(plan.corner, corner) and same_bits(plan.blend, blend)
+        assert len(plan.ends) > 16 * _BLOCK and len(plan.ends) % _BLOCK
+        f_src = FeatureMap(np.random.default_rng(5).standard_normal((48, 48, 3)))
+        blocks = [reads for _, reads, _ in _blocks(plan, f_src)]
+        corner, blend = plan_reads(plan)
+        assert same_bits(np.concatenate([c for c, _ in blocks]), corner)
+        assert same_bits(np.concatenate([b for _, b in blocks], axis=1), blend)
 
 
 class TestParamsValidation:

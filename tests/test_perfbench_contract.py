@@ -118,6 +118,7 @@ def test_tracer_counters_read_real_library_results():
                      "_after_ransac_triangulate", "_after_epipolar_samples"}
     layer = tracer.per_layer(1)
     assert layer["fusion.plan_epipolar_sampling.valid_share"] > 0
-    assert layer["fusion.transformer_forward.sample_reads"] == 2 * plan.corner.size
+    reads = np.count_nonzero(plan.valid) * plan.k
+    assert layer["fusion.transformer_forward.sample_reads"] == 2 * reads
     assert layer["triangulation.ransac_triangulate.inlier_share"] == 1.0
     assert layer["sampler.epipolar_samples.misses"] == 1

@@ -1,6 +1,7 @@
-"""Smoke runs of the README's sweep scripts, so a library rename cannot break them unseen."""
+"""Smoke runs of the README's scripts, so a library rename cannot break them unseen."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -32,3 +33,14 @@ def test_sweep_script_runs(tmp_path, script, args, row_prefix, header):
     lines = out.read_text().splitlines()
     assert lines[0] == header
     assert len(lines) == 2
+
+
+def test_cycle_rss_script_runs(tmp_path):
+    # The query workload is the smallest: one cycle takes under a second.
+    done = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "cycle_rss.py"), "--root", str(REPO),
+         "--workload", "query", "--cycles", "1"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert re.fullmatch(r"cycle 1: peak_rss_mb \d+\.\d\n", done.stdout)
