@@ -15,11 +15,13 @@ W is a small part of that vector, and dividing by it amplifies the error.
 The DLT and the reprojection errors broadcast over leading axes, one system
 per item with the bits of an unbatched call; a NaN row marks a system with
 no solution. RANSAC tries every two-view minimal set when there are no more
-than its iterations, and draws that many otherwise; it solves each block of
-sets with one DLT call and scores it with one error matrix, gates by
-reprojection error, and re-estimates over the winning consensus set.
-triangulate_joints runs it, or a plain DLT, over many joints: the
-pipeline's and the CLI's one loop.
+than its iterations, and draws that many otherwise; it gates by reprojection
+error and re-estimates over the winning consensus set. One core runs it for
+many joints at once: one SVD for every joint's camera centers, blocks of
+minimal sets from many joints each solved with one DLT call and scored in
+one error pass, and one DLT call per consensus size for the refinements.
+ransac_triangulate is its one-joint call; triangulate_joints, the
+pipeline's and the CLI's one entry, hands it every joint.
 """
 
 from __future__ import annotations
@@ -42,8 +44,15 @@ class TriangulationResult:
     rms_reproj: float  # pixels, over the inliers
 
 
-# Minimal pairs per RANSAC block: one DLT call and one (P, n) error matrix
-# each, so memory stays bounded whatever the iteration count.
+# Why a joint has no point. The two consensus reasons are NoConsensus
+# messages; every other reason is a Degenerate's.
+_NO_PAIR = "no pair produced two or more inliers"
+_FEW_KEPT = "the refined point keeps fewer than two inliers"
+_ONE_CENTER = "all views share one camera center"
+
+# Minimal pairs per RANSAC block, drawn from as many joints as fill it: one
+# DLT call and one error pass each, so memory stays bounded whatever the
+# iteration count.
 _BLOCK = 1024
 
 
@@ -60,17 +69,31 @@ def conditioning_frame(cams: np.ndarray) -> np.ndarray:
     centers coincide, as no two views then see depth: when s is at most
     CENTER_REL of the largest center norm (or of 1 mm).
     """
-    h = np.linalg.svd(cams)[2][:, 3]
-    if np.min(np.abs(h[:, 3])) < PROJECTION_W:
-        return np.eye(4)
-    centers = h[:, :3] / h[:, 3:]
-    c = np.mean(centers, axis=0)
-    s = np.mean(_norms(centers - c))
-    if s <= CENTER_REL * max(1.0, float(np.max(_norms(centers)))):
-        raise Degenerate("all views share one camera center")
-    frame = np.diag([s, s, s, 1.0])
-    frame[:3, 3] = c
+    frame, degenerate = _frames(np.linalg.svd(cams)[2][:, 3])
+    if degenerate:
+        raise Degenerate(_ONE_CENTER)
     return frame
+
+
+def _frames(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """conditioning_frame of each (..., n, 4) stack of homogeneous centers: (frames, degenerate).
+
+    Each (4, 4) frame has the bits of a call on its own stack; a degenerate
+    stack's frame is not meant to be used.
+    """
+    w = h[..., 3]
+    far = np.abs(w) < PROJECTION_W
+    infinite = np.any(far, axis=-1)
+    centers = h[..., :3] / np.where(far, 1.0, w)[..., None]
+    c = np.mean(centers, axis=-2)
+    s = np.mean(_norms(centers - c[..., None, :]), axis=-1)
+    degenerate = ~infinite & (s <= CENTER_REL * np.maximum(1.0, np.max(_norms(centers), axis=-1)))
+    frames = np.zeros(h.shape[:-2] + (4, 4))
+    frames[..., [0, 1, 2], [0, 1, 2]] = s[..., None]
+    frames[..., :3, 3] = c
+    frames[..., 3, 3] = 1.0
+    frames[infinite] = np.eye(4)
+    return frames, degenerate
 
 
 def dlt_triangulate(
@@ -80,18 +103,19 @@ def dlt_triangulate(
 
     Returns (..., 3): one DLT per leading index, each with the bits of an
     unbatched call. Solves with cams @ frame for X^ and returns frame @ X^;
-    frame defaults to conditioning_frame(cams) of an unbatched stack. A
-    system has no solution when the two smallest singular values of its
-    stacked rows are within 1e-9 relative, i.e. the solution direction is
-    ambiguous (coincident views, collinear geometry), or when X^ lies at
-    infinity; its row is NaN. Raises Degenerate, with the first system's
-    reason, only when no system has a solution.
+    frame is one (4, 4) for every item or (..., 4, 4), one per item, and
+    defaults to conditioning_frame(cams) of an unbatched stack. A system has
+    no solution when the two smallest singular values of its stacked rows
+    are within 1e-9 relative, i.e. the solution direction is ambiguous
+    (coincident views, collinear geometry), or when X^ lies at infinity; its
+    row is NaN. Raises Degenerate, with the first system's reason, only when
+    no system has a solution.
     """
     if points.shape[-2] < 2:
         raise ValueError("triangulation needs at least two observations")
     if frame is None:
         frame = conditioning_frame(cams)
-    cams = cams @ frame
+    cams = cams @ frame[..., None, :, :]
     a = points[..., None] * cams[..., 2:3, :] - cams[..., :2, :]
     a = a.reshape(*a.shape[:-3], -1, 4)
     norms = _norms(a)
@@ -134,69 +158,200 @@ def ransac_triangulate(
     largest consensus wins, with ties broken by lower inlier RMS, then by
     the earlier pair; the final point is a DLT over the winning consensus,
     scored once more: the result's inliers and RMS are that point's own.
-    The pairs are listed up front, _BLOCK at a time (no draw depends on a
-    result); each block is solved with one dlt_triangulate call and scored
-    with one error matrix. Every DLT solves in the joint's one
-    conditioning_frame. Fully deterministic for a fixed seed.
+    Every DLT solves in the joint's one conditioning_frame. This is the
+    one-joint call of the core that triangulate_joints runs over many
+    joints, with the same bits. Fully deterministic for a fixed seed.
     """
-    n = len(points)
-    if n < 2:
+    if len(points) < 2:
         raise ValueError("RANSAC needs at least two observations")
-    if not (threshold_px > 0.0):
-        raise ValueError("threshold must be positive")
-    if iterations < 1:
-        raise ValueError("iterations must be at least 1")
-    frame = conditioning_frame(cams)
-    if n * (n - 1) // 2 <= iterations:
-        every = np.stack(np.triu_indices(n, 1), axis=1)
-        blocks = (every[lo : lo + _BLOCK] for lo in range(0, len(every), _BLOCK))
-    else:
-        rng = np.random.default_rng(seed)
-        blocks = (np.array([rng.choice(n, size=2, replace=False)
-                            for _ in range(min(_BLOCK, iterations - start))])
-                  for start in range(0, iterations, _BLOCK))
-
-    best_mask, best_count, best_rms = None, 0, np.inf
-    for pairs in blocks:
-        mask, count, rms = _block_best(cams, points, pairs, frame, threshold_px)
-        if count > best_count or (count == best_count and rms < best_rms):
-            best_mask, best_count, best_rms = mask, count, rms
-
-    if best_mask is None:
-        raise NoConsensus("no pair produced two or more inliers")
-    refined = dlt_triangulate(cams[best_mask], points[best_mask], frame)
-    errors = reprojection_errors(cams, points, refined)
-    inliers = errors < threshold_px
-    if np.sum(inliers) < 2:
-        raise NoConsensus("the refined point keeps fewer than two inliers")
-    rms = float(np.sqrt(np.mean(errors[inliers] ** 2)))
-    return TriangulationResult(point=refined, inliers=inliers, rms_reproj=rms)
+    (result,) = _triangulate([(cams, points)], threshold_px, iterations, [seed])
+    if result in (_NO_PAIR, _FEW_KEPT):
+        raise NoConsensus(result)
+    if isinstance(result, str):
+        raise Degenerate(result)
+    return result
 
 
-def _block_best(
-    cams: np.ndarray, points: np.ndarray, pairs: np.ndarray, frame: np.ndarray,
-    threshold_px: float,
-) -> tuple[np.ndarray | None, int, float]:
-    """(inlier mask, count, RMS) of the best of the (P, 2) pairs.
+def _triangulate(
+    joints: Sequence[tuple[np.ndarray, np.ndarray]], threshold_px: float, iterations: int,
+    seeds: Sequence[int | np.random.SeedSequence], plain: bool = False,
+) -> list[TriangulationResult | str]:
+    """Per joint of at least two views, its result or the reason it has none.
 
-    Best is the most inliers, then the lowest inlier RMS, then the first;
-    (None, 0, inf) when no pair has two inliers. The block's arrays die on
-    return, so a RANSAC peaks at one block's size.
+    RANSAC as ransac_triangulate describes, joint j drawing from seeds[j];
+    plain takes every view as the consensus and keeps every view an inlier.
+    The views of all joints are concatenated; the refinements run one DLT
+    call per consensus size and are scored in one error pass. A refinement
+    with no solution is solved once more on its own for its reason.
+    """
+    if not joints:
+        return []
+    if not plain:
+        if not (threshold_px > 0.0):
+            raise ValueError("threshold must be positive")
+        if iterations < 1:
+            raise ValueError("iterations must be at least 1")
+    n = np.array([len(points) for _, points in joints])
+    starts = np.cumsum(n) - n
+    owner = np.repeat(np.arange(len(n)), n)  # the joint of each view
+    cams = np.concatenate([c for c, _ in joints])
+    points = np.concatenate([p for _, p in joints])
+
+    # One SVD for every camera center; LAPACK runs per camera, so each keeps its bits.
+    h = np.linalg.svd(cams)[2][:, 3]
+    frames = np.empty((len(n), 4, 4))
+    failed: dict[int, str] = {}
+    for m in np.unique(n):
+        js = np.flatnonzero(n == m)
+        frames[js], degenerate = _frames(h[starts[js, None] + np.arange(m)])
+        for j in js[degenerate]:
+            failed[j] = _ONE_CENTER
+    ok = np.ones(len(n), dtype=bool)
+    ok[list(failed)] = False
+
+    consensus = ok[owner] if plain else _consensus(
+        cams, points, n, starts, frames, np.flatnonzero(ok), threshold_px, iterations, seeds)
+    size = np.bincount(owner[consensus], minlength=len(n))  # 0 for every stopped joint
+    for j in np.flatnonzero(ok & (size == 0)):
+        failed[j] = _NO_PAIR
+        ok[j] = False
+
+    x = np.full((len(n), 3), np.nan)
+    for c in np.unique(size[ok]):
+        js = np.flatnonzero(size == c)
+        views = np.flatnonzero(consensus & (size[owner] == c)).reshape(-1, c)
+        try:
+            x[js] = dlt_triangulate(cams[views], points[views], frames[js])
+        except Degenerate:
+            pass
+    for j in np.flatnonzero(ok & np.isnan(x[:, 0])):
+        views = np.flatnonzero(consensus & (owner == j))
+        try:
+            dlt_triangulate(cams[views], points[views], frames[j])
+        except Degenerate as exc:
+            failed[j] = str(exc)
+        ok[j] = False
+
+    views = np.flatnonzero(ok[owner])
+    errors = reprojection_errors(cams[views, None], points[views, None], x[owner[views]])[:, 0]
+    inliers = np.ones(len(views), dtype=bool) if plain else errors < threshold_px
+    count = np.bincount(owner[views][inliers], minlength=len(n))
+    for j in np.flatnonzero(ok & (count < 2)):
+        failed[j] = _FEW_KEPT
+        ok[j] = False
+    # Each joint's RMS over its inliers, a (joints, count) mean at a time for the pairwise order.
+    rms = np.empty(len(n))
+    for c in np.unique(count[ok]):
+        js = ok & (count == c)
+        rms[js] = np.sqrt(np.mean(errors[js[owner[views]] & inliers].reshape(-1, c) ** 2, axis=1))
+    flags = np.zeros(len(owner), dtype=bool)
+    flags[views] = inliers
+    return [failed[j] if j in failed else TriangulationResult(x[j], mask, float(rms[j]))
+            for j, mask in enumerate(np.split(flags, starts[1:]))]
+
+
+def _consensus(
+    cams: np.ndarray, points: np.ndarray, n: np.ndarray, starts: np.ndarray,
+    frames: np.ndarray, live: np.ndarray, threshold_px: float, iterations: int,
+    seeds: Sequence[int | np.random.SeedSequence],
+) -> np.ndarray:
+    """(N,) flags of the views in each live joint's winning consensus; none for a joint without one.
+
+    Joint j's views are cams[starts[j]:starts[j] + n[j]]. A pair wins with
+    the most inliers (at least two), then the lowest inlier RMS, then as
+    the earlier pair: a block's best row replaces a joint's best only when
+    strictly better.
+    """
+    best_count = np.zeros(len(n), dtype=np.intp)
+    best_rms = np.full(len(n), np.inf)
+    best = np.zeros(len(points), dtype=bool)
+    for js, pairs in _pair_blocks(n, live, iterations, seeds):
+        j, count, rms, views, flags = _block_winners(
+            cams, points, n, starts, frames, js, pairs, threshold_px)
+        better = (count > best_count[j]) | ((count == best_count[j]) & (rms < best_rms[j]))
+        best_count[j[better]], best_rms[j[better]] = count[better], rms[better]
+        better = np.repeat(better, n[j])
+        best[views[better]] = flags[better]
+    return best
+
+
+def _block_winners(
+    cams: np.ndarray, points: np.ndarray, n: np.ndarray, starts: np.ndarray,
+    frames: np.ndarray, js: np.ndarray, pairs: np.ndarray, threshold_px: float,
+) -> tuple[np.ndarray, ...]:
+    """The best row of each joint in one block of (P,) joints' (P, 2) pairs.
+
+    Returns (joints, inlier counts, inlier RMS, views, inlier flags): one
+    entry per joint with a row of two or more inliers, and its n views'
+    indices and flags in joint order. Every pair is scored against its own
+    joint's views in one flat error pass. The block's arrays die on return,
+    so memory peaks at one block's size.
     """
     try:
-        x = dlt_triangulate(cams[pairs], points[pairs], frame)
-    except Degenerate:
-        return None, 0, np.inf
-    errors = reprojection_errors(cams, points, x)
-    masks = errors < threshold_px
-    counts = np.sum(masks, axis=1)
-    count = int(np.max(counts))
-    if count < 2:
-        return None, 0, np.inf
-    rows = np.flatnonzero(counts == count)
-    rms = np.sqrt(np.mean(errors[rows][masks[rows]].reshape(-1, count) ** 2, axis=1))
-    i = int(np.argmin(rms))
-    return masks[rows[i]].copy(), count, float(rms[i])
+        x = dlt_triangulate(cams[starts[js, None] + pairs], points[starts[js, None] + pairs],
+                            frames[js])
+    except Degenerate:  # no pair of the block has a solution
+        x = np.full((len(js), 3), np.nan)
+    # One entry per (pair, view of its joint), grouped by pair in view order.
+    rows = np.repeat(np.arange(len(js)), n[js])
+    cols = np.arange(len(rows)) + np.repeat(starts[js] - (np.cumsum(n[js]) - n[js]), n[js])
+    errors = reprojection_errors(cams[cols, None], points[cols, None], x[rows])[:, 0]
+    inlier = errors < threshold_px
+    count = np.bincount(rows[inlier], minlength=len(js))
+    # A joint's rows are contiguous; only its rows with the most inliers can win.
+    first = np.flatnonzero(np.r_[True, js[1:] != js[:-1]])
+    width = np.diff(np.r_[first, len(js)])
+    top = (count == np.repeat(np.maximum.reduceat(count, first), width)) & (count >= 2)
+    rms = np.full(len(js), np.inf)
+    for c in np.unique(count[top]):
+        r = top & (count == c)
+        rms[r] = np.sqrt(np.mean(errors[inlier & r[rows]].reshape(-1, c) ** 2, axis=1))
+    low = rms == np.repeat(np.minimum.reduceat(rms, first), width)
+    win = np.minimum.reduceat(np.where(top & low, np.arange(len(js)), len(js)), first)
+    win = win[win < len(js)]
+    won = np.zeros(len(js), dtype=bool)
+    won[win] = True
+    return js[win], count[win], rms[win], cols[won[rows]], inlier[won[rows]]
+
+
+def _pair_blocks(
+    n: np.ndarray, live: np.ndarray, iterations: int,
+    seeds: Sequence[int | np.random.SeedSequence],
+):
+    """Blocks of up to _BLOCK candidate pairs in joint order: (P,) joints and (P, 2) view indices.
+
+    Joint j tries every pair of its n[j] views, lexicographic, when there
+    are at most iterations of them, and makes no generator; otherwise it
+    draws iterations pairs with default_rng(seeds[j]).choice, as many as the
+    current block takes at a time.
+    """
+    every: dict[int, np.ndarray] = {}
+    owners: list[int] = []
+    takes: list[int] = []
+    chunks: list[np.ndarray] = []
+    size = 0
+    for j in live:
+        m = int(n[j])
+        if m * (m - 1) // 2 <= iterations:
+            if m not in every:
+                every[m] = np.stack(np.triu_indices(m, 1), axis=1)
+            rng, total = None, len(every[m])
+        else:
+            rng, total = np.random.default_rng(seeds[j]), iterations
+        lo = 0
+        while lo < total:
+            k = min(_BLOCK - size, total - lo)
+            chunks.append(every[m][lo : lo + k] if rng is None else
+                          np.array([rng.choice(m, size=2, replace=False) for _ in range(k)]))
+            owners.append(j)
+            takes.append(k)
+            size += k
+            lo += k
+            if size == _BLOCK:
+                yield np.repeat(owners, takes), np.concatenate(chunks)
+                owners, takes, chunks, size = [], [], [], 0
+    if size:
+        yield np.repeat(owners, takes), np.concatenate(chunks)
 
 
 def triangulate_joints(
@@ -205,26 +360,18 @@ def triangulate_joints(
 ) -> list[TriangulationResult | str]:
     """Per (cams (n, 3, 4), pixels (n, 2)) joint, its result or the reason it has none.
 
-    Joint j runs ransac_triangulate with seed.spawn(len(joints))[j], spawned
-    whether or not it is triangulated; plain runs one DLT with every view an
-    inlier. A reason is "fewer than two views" or the message of the
-    Degenerate or NoConsensus that stopped the joint.
+    Joint j gets ransac_triangulate's result with seed.spawn(len(joints))[j],
+    spawned whether or not it is triangulated; every joint runs in one call
+    of the same core. plain runs one DLT with every view an inlier. A reason
+    is "fewer than two views" or the message of the Degenerate or
+    NoConsensus that stopped the joint.
     """
-    out: list[TriangulationResult | str] = []
-    for (cams, pixels), child in zip(joints, seed.spawn(len(joints))):
-        if len(pixels) < 2:
-            out.append("fewer than two views")
-            continue
-        try:
-            if plain:
-                point = dlt_triangulate(cams, pixels)
-                rms = float(np.sqrt(np.mean(reprojection_errors(cams, pixels, point) ** 2)))
-                out.append(TriangulationResult(point, np.ones(len(pixels), dtype=bool), rms))
-            else:
-                out.append(ransac_triangulate(cams, pixels, threshold_px, iterations, child))
-        except (Degenerate, NoConsensus) as exc:
-            out.append(str(exc))
-    return out
+    seeds = seed.spawn(len(joints))
+    solvable = [j for j, (_, pixels) in enumerate(joints) if len(pixels) >= 2]
+    results = iter(_triangulate([joints[j] for j in solvable], threshold_px, iterations,
+                                [seeds[j] for j in solvable], plain))
+    return [next(results) if len(pixels) >= 2 else "fewer than two views"
+            for _, pixels in joints]
 
 
 # -- observation files --------------------------------------------------------

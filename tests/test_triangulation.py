@@ -10,6 +10,7 @@ from epifuse import synth, triangulation
 from epifuse.errors import ConfigError, Degenerate, NoConsensus
 from epifuse.geometry import CameraView
 from epifuse.triangulation import (
+    TriangulationResult,
     conditioning_frame,
     dlt_triangulate,
     load_observations,
@@ -336,6 +337,15 @@ class TestRansac:
             return type(exc).__name__, str(exc)
         return r.point.tobytes(), r.inliers.tobytes(), r.rms_reproj.hex()
 
+    @staticmethod
+    def entry(got):
+        """A triangulate_joints entry, or an outcome, as its reason or its result bytes."""
+        if isinstance(got, TriangulationResult):
+            return got.point.tobytes(), got.inliers.tobytes(), got.rms_reproj.hex()
+        if isinstance(got, tuple) and isinstance(got[0], str):  # (error type, reason)
+            return got[1]
+        return got
+
     def test_matches_scalar_oracle_bit_for_bit(self):
         # Random rigs of 2-12 views, exact (tied) and noisy pixels, about 30%
         # outliers; rigs with a duplicated view (degenerate pairs; at two
@@ -362,12 +372,68 @@ class TestRansac:
             kinds.add(want[0] if isinstance(want[0], str) else "ok")
         assert kinds == {"ok", "Degenerate", "NoConsensus"}
 
+    def test_joints_match_the_scalar_oracle_bit_for_bit(self):
+        # One triangulate_joints call per gate mixes joints of 2-12 views
+        # (exact and noisy pixels, about 30% outliers), with a duplicated view
+        # (a degenerate frame at two views) or of scaled copies of one camera;
+        # a view and its duplicate as the winning consensus (a refinement with
+        # no solution); a refined point that keeps one inlier; joints of one
+        # and of no views; and 46 and 60 views, whose 1035 and 1770 pairs
+        # fill more than a block alone. Pairs are tried and drawn, and spill
+        # over blocks across joints. Every entry is the oracle's, on the
+        # joint's own spawned seed.
+        rng = np.random.default_rng(33)
+        joints = []
+        for trial in range(40):
+            n = 2 + trial % 11
+            cams = [random_camera(rng) for _ in range(n)]
+            ms, points = observe(cams, rng.normal(0.0, 60.0, 3), (0.0, 0.5, 2.0)[trial % 3], rng)
+            outliers = rng.random(n) < 0.3
+            points[outliers] += rng.uniform(-50.0, 50.0, (outliers.sum(), 2))
+            if trial % 5 == 1:
+                ms[-1], points[-1] = ms[0], points[0]
+            elif trial % 12 == 2:
+                ms = ms[0] * rng.uniform(0.5, 2.0, (n, 1, 1))
+            joints.append((ms, points))
+        while True:  # views 0 and 2 are one camera and pixel; view 1 is off by a few pixels
+            cams = [random_camera(rng) for _ in range(2)]
+            ms, points = observe(cams + cams[:1], rng.normal(0.0, 60.0, 3))
+            points[1] += rng.normal(0.0, 4.0, 2)
+            if self.outcome(ransac_oracle, ms, points, 3.0, 100)[0] == "Degenerate":
+                break
+        refined = (stack([ring_cameras(8)[v] for v in (4, 2, 3, 6)]),
+                   np.array([[62.7, 45.98], [35.55, 38.68], [49.83, 40.57], [62.37, 48.58]]))
+        lone = joints[3][0]
+        joints += [(ms, points), refined, (lone[:1], np.zeros((1, 2))),
+                   (lone[:0], np.zeros((0, 2)))]
+        for n in (46, 60):
+            ms, points = observe([random_camera(rng) for _ in range(n)],
+                                 rng.normal(0.0, 20.0, 3), 0.5, rng)
+            points[rng.random(n) < 0.3] += 30.0
+            joints.append((ms, points))
+        reasons = set()
+        for call, (threshold, iterations) in enumerate(
+                [(5.0, 25), (1e-3, 2), (3.0, 100), (50.0, 1), (1.1, 1500)]):
+            got = triangulate_joints(joints, threshold, iterations, np.random.SeedSequence(call))
+            children = np.random.SeedSequence(call).spawn(len(joints))
+            for (ms, points), child, entry in zip(joints, children, got):
+                want = "fewer than two views" if len(points) < 2 else self.entry(
+                    self.outcome(ransac_oracle, ms, points, threshold, iterations, child))
+                assert self.entry(entry) == want
+                reasons.add(want if isinstance(want, str) else "ok")
+        assert reasons == {"ok", "fewer than two views", "all views share one camera center",
+                           "triangulated direction is ambiguous",
+                           "no pair produced two or more inliers",
+                           "the refined point keeps fewer than two inliers"}
+
     def test_ties_go_to_the_earliest_draw(self, monkeypatch):
         # Views 2g and 2g + 1 see point g, and errors are floored to 1e-3 px
         # (the gate): the pairs of each view couple tie at two inliers and 0 px,
         # with different inliers. With every pair tried, the first, (0, 1),
         # must win; with pairs drawn, the first drawn (as the oracle's). Both
-        # within a block and across blocks: 46 views have 1035 pairs.
+        # within a block and across blocks: 46 views have 1035 pairs. Each
+        # case runs alone and, at its own iterations, in one triangulate_joints
+        # call with the other cases, whose pairs share its blocks.
         def floored(cams, points, x):
             return np.floor(real(cams, points, x) * 1e3) / 1e3
 
@@ -376,24 +442,34 @@ class TestRansac:
         monkeypatch.setattr(helpers, "reprojection_errors", floored)
         rng = np.random.default_rng(25)
         cases = [(4, 5), (4, 14), (6, 12), (6, 14), (6, 1030), (46, 1030), (46, 1500), (4, 1500)]
+        joints, wants = [], []
         for trial in range(16):
             n, iterations = cases[trial % 8]
             couples = [observe([random_camera(rng) for _ in range(2)], rng.normal(0.0, 60.0, 3))
                        for _ in range(n // 2)]
-            ms, points = (np.concatenate(arrays) for arrays in zip(*couples))
-            args = (ms, points, 1e-3, iterations, trial)
+            joints.append(tuple(np.concatenate(arrays) for arrays in zip(*couples)))
+        seeds = np.random.SeedSequence(25).spawn(16)
+        for trial, (ms, points) in enumerate(joints):
+            n, iterations = cases[trial % 8]
+            args = (ms, points, 1e-3, iterations, seeds[trial])
             want = self.outcome(ransac_oracle, *args)
             assert self.outcome(ransac_triangulate, *args) == want
+            wants.append(want)
             if n * (n - 1) // 2 <= iterations:
                 first = [0, 1]
             else:
-                draws = np.random.default_rng(trial)
+                draws = np.random.default_rng(seeds[trial])
                 pairs = (sorted(draws.choice(n, 2, replace=False)) for _ in range(iterations))
                 first = next((p for p in pairs if p[0] % 2 == 0 and p[1] == p[0] + 1), None)
             if first is None:  # no couple drawn
                 assert want[0] == "NoConsensus"
             else:
                 assert np.flatnonzero(np.frombuffer(want[1], bool)).tolist() == first
+        for iterations in sorted({it for _, it in cases}):
+            got = triangulate_joints(joints, 1e-3, iterations, np.random.SeedSequence(25))
+            for trial in range(16):
+                if cases[trial % 8][1] == iterations:
+                    assert self.entry(got[trial]) == self.entry(wants[trial])
 
     def test_every_pair_tried_needs_no_seed(self, monkeypatch):
         # C(n, 2) <= iterations: the result is the same for every seed, and
@@ -428,12 +504,12 @@ class TestRansac:
             return max(counts)
 
         def spy(*args):
-            best = block_best(*args)
-            counts.append(best[1])
+            best = consensus(*args)
+            counts.append(int(np.sum(best)))  # one joint: the winning pair's inlier count
             return best
 
-        block_best, counts = triangulation._block_best, []
-        monkeypatch.setattr(triangulation, "_block_best", spy)
+        consensus, counts = triangulation._consensus, []
+        monkeypatch.setattr(triangulation, "_consensus", spy)
         rng = np.random.default_rng(27)
         for trial in range(40):
             n = 3 + trial % 8
@@ -450,18 +526,23 @@ class TestRansac:
     def test_memory_does_not_grow_with_iterations(self):
         # Pairs are solved a block at a time: ten times the iterations, the
         # same peak, whether the 10 views' 45 pairs are all tried or the 201
-        # views' 20,100 pairs are drawn.
-        rng = np.random.default_rng(24)
-        for n in (10, 201):
+        # views' 20,100 pairs are drawn, and whether 40 or 80 ten-view joints
+        # share the blocks.
+        def joint(n):
             cams = [random_camera(rng) for _ in range(n)]
             ms, points = observe(cams, rng.normal(0.0, 20.0, 3), 0.5, rng)
             points[[2, 7]] += 30.0
-            ransac_triangulate(ms, points, 4.0, 2000, 1)
+            return ms, points
+
+        rng = np.random.default_rng(24)
+        for joints in ([joint(10)], [joint(201)], [joint(10) for _ in range(40)],
+                       [joint(10) for _ in range(80)]):
+            triangulate_joints(joints, 4.0, 2000, np.random.SeedSequence(1))
             peaks = []
             for iterations in (2000, 20000):
                 tracemalloc.start()
                 try:
-                    ransac_triangulate(ms, points, 4.0, iterations, 1)
+                    triangulate_joints(joints, 4.0, iterations, np.random.SeedSequence(1))
                     peaks.append(tracemalloc.get_traced_memory()[1])
                 finally:
                     tracemalloc.stop()
