@@ -201,7 +201,7 @@ def _triangulate(
     h = np.linalg.svd(cams)[2][:, 3]
     frames = np.empty((len(n), 4, 4))
     failed: dict[int, str] = {}
-    for m in np.unique(n):
+    for m in set(n.tolist()):
         js = np.flatnonzero(n == m)
         frames[js], degenerate = _frames(h[starts[js, None] + np.arange(m)])
         for j in js[degenerate]:
@@ -217,14 +217,14 @@ def _triangulate(
         ok[j] = False
 
     x = np.full((len(n), 3), np.nan)
-    for c in np.unique(size[ok]):
+    for c in set(size[ok].tolist()):
         js = np.flatnonzero(size == c)
         views = np.flatnonzero(consensus & (size[owner] == c)).reshape(-1, c)
         try:
             x[js] = dlt_triangulate(cams[views], points[views], frames[js])
-        except Degenerate:
+        except Degenerate:  # no consensus of this size has a solution
             pass
-    for j in np.flatnonzero(ok & np.isnan(x[:, 0])):
+    for j in np.flatnonzero(ok & np.isnan(x[:, 0])):  # solved alone for its reason
         views = np.flatnonzero(consensus & (owner == j))
         try:
             dlt_triangulate(cams[views], points[views], frames[j])
@@ -232,22 +232,17 @@ def _triangulate(
             failed[j] = str(exc)
         ok[j] = False
 
-    views = np.flatnonzero(ok[owner])
-    errors = reprojection_errors(cams[views, None], points[views, None], x[owner[views]])[:, 0]
+    js = np.flatnonzero(ok)
+    rows, views, errors = _score(cams, points, n, starts, js, x[js])
     inliers = np.ones(len(views), dtype=bool) if plain else errors < threshold_px
-    count = np.bincount(owner[views][inliers], minlength=len(n))
-    for j in np.flatnonzero(ok & (count < 2)):
+    count = np.bincount(rows[inliers], minlength=len(js))
+    for j in js[count < 2]:
         failed[j] = _FEW_KEPT
-        ok[j] = False
-    # Each joint's RMS over its inliers, a (joints, count) mean at a time for the pairwise order.
-    rms = np.empty(len(n))
-    for c in np.unique(count[ok]):
-        js = ok & (count == c)
-        rms[js] = np.sqrt(np.mean(errors[js[owner[views]] & inliers].reshape(-1, c) ** 2, axis=1))
+    rms = dict(zip(js.tolist(), _rms(errors, inliers, rows, count, count >= 2).tolist()))
     flags = np.zeros(len(owner), dtype=bool)
     flags[views] = inliers
-    return [failed[j] if j in failed else TriangulationResult(x[j], mask, float(rms[j]))
-            for j, mask in enumerate(np.split(flags, starts[1:]))]
+    return [failed[j] if j in failed else TriangulationResult(x[j], flags[lo : lo + m], rms[j])
+            for j, (lo, m) in enumerate(zip(starts.tolist(), n.tolist()))]
 
 
 def _consensus(
@@ -265,9 +260,9 @@ def _consensus(
     best_count = np.zeros(len(n), dtype=np.intp)
     best_rms = np.full(len(n), np.inf)
     best = np.zeros(len(points), dtype=bool)
-    for js, pairs in _pair_blocks(n, live, iterations, seeds):
+    for seg, width, pairs in _pair_blocks(n, live, iterations, seeds):
         j, count, rms, views, flags = _block_winners(
-            cams, points, n, starts, frames, js, pairs, threshold_px)
+            cams, points, n, starts, frames, seg, width, pairs, threshold_px)
         better = (count > best_count[j]) | ((count == best_count[j]) & (rms < best_rms[j]))
         best_count[j[better]], best_rms[j[better]] = count[better], rms[better]
         better = np.repeat(better, n[j])
@@ -277,52 +272,77 @@ def _consensus(
 
 def _block_winners(
     cams: np.ndarray, points: np.ndarray, n: np.ndarray, starts: np.ndarray,
-    frames: np.ndarray, js: np.ndarray, pairs: np.ndarray, threshold_px: float,
+    frames: np.ndarray, seg: np.ndarray, width: np.ndarray, pairs: np.ndarray,
+    threshold_px: float,
 ) -> tuple[np.ndarray, ...]:
-    """The best row of each joint in one block of (P,) joints' (P, 2) pairs.
+    """The best row of each joint in one block of (P, 2) pairs, joint seg[k]'s width[k] k-th.
 
     Returns (joints, inlier counts, inlier RMS, views, inlier flags): one
     entry per joint with a row of two or more inliers, and its n views'
-    indices and flags in joint order. Every pair is scored against its own
-    joint's views in one flat error pass. The block's arrays die on return,
-    so memory peaks at one block's size.
+    indices and flags in joint order. The block's arrays die on return, so
+    memory peaks at one block's size.
     """
+    js = np.repeat(seg, width)
+    ends = starts[js, None] + pairs
     try:
-        x = dlt_triangulate(cams[starts[js, None] + pairs], points[starts[js, None] + pairs],
-                            frames[js])
+        x = dlt_triangulate(cams[ends], points[ends], frames[js])
     except Degenerate:  # no pair of the block has a solution
         x = np.full((len(js), 3), np.nan)
-    # One entry per (pair, view of its joint), grouped by pair in view order.
-    rows = np.repeat(np.arange(len(js)), n[js])
-    cols = np.arange(len(rows)) + np.repeat(starts[js] - (np.cumsum(n[js]) - n[js]), n[js])
-    errors = reprojection_errors(cams[cols, None], points[cols, None], x[rows])[:, 0]
+    rows, views, errors = _score(cams, points, n, starts, js, x)
     inlier = errors < threshold_px
     count = np.bincount(rows[inlier], minlength=len(js))
-    # A joint's rows are contiguous; only its rows with the most inliers can win.
-    first = np.flatnonzero(np.r_[True, js[1:] != js[:-1]])
-    width = np.diff(np.r_[first, len(js)])
+    # Of a joint's rows with the most inliers, the lowest RMS, then the first, wins.
+    first = np.cumsum(width) - width
     top = (count == np.repeat(np.maximum.reduceat(count, first), width)) & (count >= 2)
-    rms = np.full(len(js), np.inf)
-    for c in np.unique(count[top]):
-        r = top & (count == c)
-        rms[r] = np.sqrt(np.mean(errors[inlier & r[rows]].reshape(-1, c) ** 2, axis=1))
+    rms = _rms(errors, inlier, rows, count, top)
     low = rms == np.repeat(np.minimum.reduceat(rms, first), width)
     win = np.minimum.reduceat(np.where(top & low, np.arange(len(js)), len(js)), first)
     win = win[win < len(js)]
     won = np.zeros(len(js), dtype=bool)
     won[win] = True
-    return js[win], count[win], rms[win], cols[won[rows]], inlier[won[rows]]
+    return js[win], count[win], rms[win], views[won[rows]], inlier[won[rows]]
+
+
+def _score(
+    cams: np.ndarray, points: np.ndarray, n: np.ndarray, starts: np.ndarray, js: np.ndarray,
+    x: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reprojection errors of each point x[i] in every view of its joint js[i], in one pass.
+
+    Returns (rows, views, errors): one entry per (point, view), grouped by
+    point in view order.
+    """
+    rows = np.repeat(np.arange(len(js)), n[js])
+    views = np.arange(len(rows)) + np.repeat(starts[js] - (np.cumsum(n[js]) - n[js]), n[js])
+    return rows, views, reprojection_errors(cams[views, None], points[views, None], x[rows])[:, 0]
+
+
+def _rms(
+    errors: np.ndarray, inliers: np.ndarray, rows: np.ndarray, count: np.ndarray,
+    which: np.ndarray,
+) -> np.ndarray:
+    """Inlier RMS of each row flagged in which, inf elsewhere.
+
+    The rows of each inlier count are one (rows, count) mean, which keeps a
+    1-D mean's pairwise summation order, so each row has its bits.
+    """
+    rms = np.full(len(count), np.inf)
+    for c in set(count[which].tolist()):
+        r = which & (count == c)
+        rms[r] = np.sqrt(np.mean(errors[inliers & r[rows]].reshape(-1, c) ** 2, axis=1))
+    return rms
 
 
 def _pair_blocks(
     n: np.ndarray, live: np.ndarray, iterations: int,
     seeds: Sequence[int | np.random.SeedSequence],
 ):
-    """Blocks of up to _BLOCK candidate pairs in joint order: (P,) joints and (P, 2) view indices.
+    """Blocks of up to _BLOCK candidate pairs in joint order: (joints, widths, (P, 2) views).
 
-    Joint j tries every pair of its n[j] views, lexicographic, when there
-    are at most iterations of them, and makes no generator; otherwise it
-    draws iterations pairs with default_rng(seeds[j]).choice, as many as the
+    A block holds widths[k] pairs of joint joints[k], in order. Joint j
+    tries every pair of its n[j] views, lexicographic, when there are at
+    most iterations of them, and makes no generator; otherwise it draws
+    iterations pairs with default_rng(seeds[j]).choice, as many as the
     current block takes at a time.
     """
     every: dict[int, np.ndarray] = {}
@@ -348,10 +368,10 @@ def _pair_blocks(
             size += k
             lo += k
             if size == _BLOCK:
-                yield np.repeat(owners, takes), np.concatenate(chunks)
+                yield np.array(owners), np.array(takes), np.concatenate(chunks)
                 owners, takes, chunks, size = [], [], [], 0
     if size:
-        yield np.repeat(owners, takes), np.concatenate(chunks)
+        yield np.array(owners), np.array(takes), np.concatenate(chunks)
 
 
 def triangulate_joints(
