@@ -26,7 +26,7 @@ pipeline's and the CLI's one entry, hands it every joint.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -52,8 +52,11 @@ _ONE_CENTER = "all views share one camera center"
 
 # Minimal pairs per RANSAC block, drawn from as many joints as fill it: one
 # DLT call and one error pass each, so memory stays bounded whatever the
-# iteration count.
+# iteration count. The error pass projects at most _ENTRIES (point, view)
+# entries at a time, each with its own gathered camera, so it stays bounded
+# whatever the view count.
 _BLOCK = 1024
+_ENTRIES = 16384
 
 
 def _norms(v: np.ndarray) -> np.ndarray:
@@ -204,7 +207,7 @@ def _triangulate(
     for m in set(n.tolist()):
         js = np.flatnonzero(n == m)
         frames[js], degenerate = _frames(h[starts[js, None] + np.arange(m)])
-        for j in js[degenerate]:
+        for j in js[degenerate].tolist():
             failed[j] = _ONE_CENTER
     ok = np.ones(len(n), dtype=bool)
     ok[list(failed)] = False
@@ -212,7 +215,7 @@ def _triangulate(
     consensus = ok[owner] if plain else _consensus(
         cams, points, n, starts, frames, np.flatnonzero(ok), threshold_px, iterations, seeds)
     size = np.bincount(owner[consensus], minlength=len(n))  # 0 for every stopped joint
-    for j in np.flatnonzero(ok & (size == 0)):
+    for j in np.flatnonzero(ok & (size == 0)).tolist():
         failed[j] = _NO_PAIR
         ok[j] = False
 
@@ -224,7 +227,7 @@ def _triangulate(
             x[js] = dlt_triangulate(cams[views], points[views], frames[js])
         except Degenerate:  # no consensus of this size has a solution
             pass
-    for j in np.flatnonzero(ok & np.isnan(x[:, 0])):  # solved alone for its reason
+    for j in np.flatnonzero(ok & np.isnan(x[:, 0])).tolist():  # solved alone for its reason
         views = np.flatnonzero(consensus & (owner == j))
         try:
             dlt_triangulate(cams[views], points[views], frames[j])
@@ -236,7 +239,7 @@ def _triangulate(
     rows, views, errors = _score(cams, points, n, starts, js, x[js])
     inliers = np.ones(len(views), dtype=bool) if plain else errors < threshold_px
     count = np.bincount(rows[inliers], minlength=len(js))
-    for j in js[count < 2]:
+    for j in js[count < 2].tolist():
         failed[j] = _FEW_KEPT
     rms = dict(zip(js.tolist(), _rms(errors, inliers, rows, count, count >= 2).tolist()))
     flags = np.zeros(len(owner), dtype=bool)
@@ -275,7 +278,7 @@ def _block_winners(
     frames: np.ndarray, seg: np.ndarray, width: np.ndarray, pairs: np.ndarray,
     threshold_px: float,
 ) -> tuple[np.ndarray, ...]:
-    """The best row of each joint in one block of (P, 2) pairs, joint seg[k]'s width[k] k-th.
+    """The best row of each joint in one block of (P, 2) pairs: width[k] of joint seg[k], k-th.
 
     Returns (joints, inlier counts, inlier RMS, views, inlier flags): one
     entry per joint with a row of two or more inliers, and its n views'
@@ -307,14 +310,18 @@ def _score(
     cams: np.ndarray, points: np.ndarray, n: np.ndarray, starts: np.ndarray, js: np.ndarray,
     x: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Reprojection errors of each point x[i] in every view of its joint js[i], in one pass.
+    """Reprojection errors of each point x[i] in every view of its joint js[i], _ENTRIES at a time.
 
     Returns (rows, views, errors): one entry per (point, view), grouped by
     point in view order.
     """
     rows = np.repeat(np.arange(len(js)), n[js])
     views = np.arange(len(rows)) + np.repeat(starts[js] - (np.cumsum(n[js]) - n[js]), n[js])
-    return rows, views, reprojection_errors(cams[views, None], points[views, None], x[rows])[:, 0]
+    errors = np.empty(len(rows))
+    for lo in range(0, len(rows), _ENTRIES):
+        r, v = rows[lo : lo + _ENTRIES], views[lo : lo + _ENTRIES]
+        errors[lo : lo + _ENTRIES] = reprojection_errors(cams[v, None], points[v, None], x[r])[:, 0]
+    return rows, views, errors
 
 
 def _rms(
@@ -336,7 +343,7 @@ def _rms(
 def _pair_blocks(
     n: np.ndarray, live: np.ndarray, iterations: int,
     seeds: Sequence[int | np.random.SeedSequence],
-):
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Blocks of up to _BLOCK candidate pairs in joint order: (joints, widths, (P, 2) views).
 
     A block holds widths[k] pairs of joint joints[k], in order. Joint j
