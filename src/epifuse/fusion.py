@@ -25,6 +25,9 @@ feature maps and all fusion parameters. Sample locations depend only on
 camera geometry, so no gradient flows through them; in max mode the weights
 are piecewise constant and the backward pass differentiates the locally
 selected branch.
+
+_attend_at is the one matching routine: attention at chosen reference points
+alone, with the dense pass's bits there. `run`'s matching and `profile` use it.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .geometry import CameraView
 from .sampler import (
     FeatureMap,
     SamplingPlan,
-    _plan_pixels,
+    _segments,
     bilinear_gather,
     bilinear_scatter,
     plan_epipolar_sampling,
@@ -214,23 +217,26 @@ def _attend(
     return weights, queries + m @ params.w_z, {"u": u, "v": v, "h_emb": h_emb, "m": m}
 
 
-def _attend_at(f_ref, f_src, ref, src, params, k, pixels):
-    """Attention at the integer (x, y) reference pixels only.
+def _attend_at(f_ref, f_src, ref, src, params, k, points):
+    """Attention at the (n, 2) reference points in the map, each rounded to a pixel.
 
-    Returns (valid, locations, samples, weights): valid flags each pixel,
-    and the others cover the valid ones in order with the bits of
-    transformer_forward's plan and blocks.
+    The one matching routine: a point's pixel is its np.rint (half to even),
+    planned with the dense plan's _segments and segment_reads and attended
+    with _attend, so every output has the bits of transformer_forward's plan
+    and blocks there. Returns (valid, locations, weights, dots): valid flags
+    each point, and the others cover the valid ones in order; dots are the
+    raw logits q . s_i of each valid query feature with its K samples.
     """
-    xs, ys = np.asarray(pixels, dtype=np.intp).reshape(-1, 2).T
-    valid, locations, corner, blend = _plan_pixels(
-        ref, src, (f_ref.height, f_ref.width), (f_src.height, f_src.width),
-        xs.astype(np.float64), ys.astype(np.float64), k,
-    )
+    xs, ys = np.rint(np.asarray(points, dtype=np.float64).reshape(-1, 2)).T
+    src_hw = (f_src.height, f_src.width)
+    valid, ends = _segments(ref, src, (f_ref.height, f_ref.width), src_hw, xs, ys)
+    locations, corner, blend = segment_reads(ends, k, src_hw)
     c = f_src.channels
     src_flat = f_src.data.reshape(f_src.height * f_src.width, c)
     samples = bilinear_gather(src_flat, f_src.width, corner, blend).reshape(-1, k, c)
-    weights = _attend(params, f_ref.data[ys[valid], xs[valid]], samples)[0]
-    return valid, locations, samples, weights
+    queries = f_ref.data[ys[valid].astype(np.intp), xs[valid].astype(np.intp)]
+    weights = _attend(params, queries, samples)[0]
+    return valid, locations, weights, (samples @ queries[:, :, None])[:, :, 0]
 
 
 def _blocks(plan: SamplingPlan, f_src: FeatureMap):

@@ -377,12 +377,6 @@ def _segments(ref, src, ref_hw, src_hw, xs, ys):
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
-def _plan_pixels(ref, src, ref_hw, src_hw, xs, ys, k):
-    """(valid, locations, corner, blend) of the pixels (xs, ys), with a plan's bits."""
-    valid, ends = _segments(ref, src, ref_hw, src_hw, xs, ys)
-    return (valid, *segment_reads(ends, k, src_hw))
-
-
 def epipolar_samples(
     f_src: FeatureMap,
     ref: CameraView,

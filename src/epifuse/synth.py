@@ -45,7 +45,7 @@ from .fusion import (
 from .geometry import PROJECTION_W, CameraView, camera_at_resolution
 from .metrics import argmax_peak, jdr, mpjpe
 from .sampler import FeatureMap, plan_epipolar_sampling, sample_parameters
-from .triangulation import triangulate_joints
+from .triangulation import _norms, triangulate_joints
 
 
 @dataclass(eq=False)
@@ -205,12 +205,15 @@ def render_descriptor_map(
 
 
 def _project_joints(cam: CameraView, joints: np.ndarray) -> np.ndarray:
-    """(J, 2) pixel projections, NaN for joints at or behind the principal plane."""
+    """(J, 2) pixel projections, NaN for joints at or behind the principal plane.
+
+    One stacked (3, 4) @ (4, 1) product a joint: a (J, 4) @ (4, 3) GEMM rounds otherwise.
+    """
+    xh = np.concatenate([joints, np.ones((len(joints), 1))], axis=1)
+    q = (cam.M @ xh[:, :, None])[:, :, 0]
+    front = q[:, 2] > PROJECTION_W
     proj = np.full((len(joints), 2), np.nan)
-    for j, joint in enumerate(joints):
-        q = cam.M @ np.append(joint, 1.0)
-        if q[2] > PROJECTION_W:
-            proj[j] = q[:2] / q[2]
+    proj[front] = q[front, :2] / q[front, 2:]
     return proj
 
 
@@ -427,12 +430,6 @@ def _view_order(src_of: list[int]) -> list[int]:
     return order
 
 
-def _query_pixel(p: np.ndarray, width: int, height: int) -> tuple[int, int]:
-    qx = int(np.clip(np.rint(p[0]), 0, width - 1))
-    qy = int(np.clip(np.rint(p[1]), 0, height - 1))
-    return qx, qy
-
-
 def _fuse_and_match(r, s, maps, cams_m, proj, visible, params, k, descriptors, keep_fused):
     """Fuse view r with source s, read its heatmap peaks, and match at its joints.
 
@@ -449,19 +446,17 @@ def _fuse_and_match(r, s, maps, cams_m, proj, visible, params, k, descriptors, k
     totals = (visible[r] & visible[s]).astype(int)
     profiles: list[dict | None] = [None] * n_joints
     joints = np.flatnonzero(totals)
-    pixels = [_query_pixel(proj[r, j], maps[r].width, maps[r].height) for j in joints]
-    valid, locations, samples, weights = _attend_at(
-        maps[r], maps[s], cams_m[r], cams_m[s], params, k, pixels
+    valid, locations, weights, dots = _attend_at(
+        maps[r], maps[s], cams_m[r], cams_m[s], params, k, proj[r, joints]
     )
-    for i, n in enumerate(np.flatnonzero(valid)):
-        j, (qx, qy) = joints[n], pixels[n]
-        best = locations[i, int(np.argmax(weights[i]))]
-        span = float(np.linalg.norm(locations[i, -1] - locations[i, 0]))
-        step = span / (k - 1) if k > 1 else span / 2.0
-        hits[j] = float(np.linalg.norm(best - proj[s, j])) <= step + 1e-9
-        if r == 0:
-            dots = samples[i] @ maps[r].data[qy, qx]
-            profiles[j] = _profile(r, s, locations[i], weights[i], dots)
+    joints = joints[valid]
+    best = locations[np.arange(len(joints)), np.argmax(weights, axis=1)]
+    span = _norms(locations[:, -1] - locations[:, 0])
+    step = span / (k - 1) if k > 1 else span / 2.0
+    hits[joints] = _norms(best - proj[s, joints]) <= step + 1e-9
+    if r == 0:
+        for i, j in enumerate(joints):
+            profiles[j] = _profile(r, s, locations[i], weights[i], dots[i])
     return peaks, hits, totals, profiles, fused if keep_fused else None
 
 
@@ -697,14 +692,10 @@ def similarity_profile(
     p = _project_joints(cam_r, scene.joints[joint : joint + 1])[0]
     if not _inside(p, cam_r.width, cam_r.height):
         return None
-    qx, qy = _query_pixel(p, cam_r.width, cam_r.height)
-    valid, locations, samples, weights = _attend_at(
-        map_r, map_s, cam_r, cam_s, params, config.k, [(qx, qy)]
-    )
+    valid, locations, weights, dots = _attend_at(map_r, map_s, cam_r, cam_s, params, config.k, p)
     if not valid[0]:
         return None
-    dots = samples[0] @ map_r.data[qy, qx]
-    profile = _profile(ref_view, src_view, locations[0], weights[0], dots)
+    profile = _profile(ref_view, src_view, locations[0], weights[0], dots[0])
     profile["joint"] = joint
     return profile
 

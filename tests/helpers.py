@@ -10,7 +10,7 @@ import numpy as np
 from epifuse.errors import Degenerate, NoConsensus
 from epifuse.fusion import _BLOCK, _attend, _batch_weights
 from epifuse.geometry import PROJECTION_W, CameraView
-from epifuse.sampler import bilinear_many, segment_reads
+from epifuse.sampler import _segments, bilinear_many, segment_reads
 from epifuse.triangulation import (
     OBS_FIELDS,
     TriangulationResult,
@@ -267,6 +267,12 @@ def fuse_bottleneck(ref_feat, samples, params) -> np.ndarray:
 # The dense forward pass with every sample gathered before one attention call,
 # and the bilinear backward scatter as four sequential np.add.at, against which
 # the blocked forward and the segment-sum scatter must agree bit for bit.
+
+
+def plan_pixels(ref, src, ref_hw, src_hw, xs, ys, k) -> tuple:
+    """(valid, locations, corner, blend) of the pixels (xs, ys), planned as a dense plan is."""
+    valid, ends = _segments(ref, src, ref_hw, src_hw, xs, ys)
+    return (valid, *segment_reads(ends, k, src_hw))
 
 
 def plan_reads(plan) -> tuple[np.ndarray, np.ndarray]:

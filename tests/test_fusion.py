@@ -25,7 +25,6 @@ from epifuse.geometry import CameraView
 from epifuse.sampler import (
     _SEGMENT_CHUNK,
     FeatureMap,
-    _plan_pixels,
     _segments,
     bilinear_plan,
     bilinear_scatter,
@@ -41,6 +40,7 @@ from helpers import (
     fuse_bottleneck,
     fuse_identity,
     look_at_camera,
+    plan_pixels,
     plan_reads,
     rectified_pair,
     unblocked_forward,
@@ -637,12 +637,13 @@ def test_bottleneck_bits_do_not_depend_on_blas_threads():
     assert digests[0] == digests[1] and len(digests[0]) > 100
 
 
-# (x, y) pixel lists of the pair fixture, each with the number of its plan's
-# first valid pixels the dense pass attends (None: all of them). (6, 1),
-# (8, 0) and (10, 0) are valid and (0, 0) is skipped; (8, 0) is the first
-# valid pixel. Without the one-row rule of _plan_pixels and _attend, (6, 1)
-# alone would get other locations, and (10, 0) next to a skipped pixel
-# other bottleneck softmax weights.
+# (x, y) reference point lists of the pair fixture, each with the number of
+# its plan's first valid pixels the dense pass attends (None: all of them).
+# (6, 1), (8, 0) and (10, 0) are valid and (0, 0) is skipped; (8, 0) is the
+# first valid pixel. Without the one-row rule of sampler._segments and
+# _attend, (6, 1) alone would get other locations, and (10, 0) next to a
+# skipped pixel other bottleneck softmax weights. "half-pixel" rounds its
+# ties to even, as np.rint does, and reaches the far corner (31, 31).
 PIXEL_LISTS = {
     "none": ([], None),
     "lone": ([(6, 1)], None),
@@ -652,25 +653,27 @@ PIXEL_LISTS = {
     "valid-and-skipped": ([(10, 0), (0, 0)], None),
     "skipped-mixed-in": ([(20, 17), (0, 0), (6, 1), (3, 25)], None),
     "one-valid-plan": ([(8, 0)], 1),
+    "half-pixel": ([(6.5, 0.5), (7.5, 1.5), (0.5, 0.4), (19.6, 17.5), (31.0, 30.5),
+                    (31.0, 31.0), (30.5, 31.0), (3.49, 24.51)], None),
 }
 
 
 def dense_plan_pixels(ref, src, hw, k):
-    """_plan_pixels of every pixel of an hw map, row-major: (valid, locations, corner, blend)."""
+    """plan_pixels of every pixel of an hw map, row-major: (valid, locations, corner, blend)."""
     xs = np.tile(np.arange(hw[1], dtype=np.float64), hw[0])
     ys = np.repeat(np.arange(hw[0], dtype=np.float64), hw[1])
-    return _plan_pixels(ref, src, hw, hw, xs, ys, k)
+    return plan_pixels(ref, src, hw, hw, xs, ys, k)
 
 
 class TestAttendAt:
-    """Attention at a list of pixels equals the dense pass at them bit for bit."""
+    """Attention at a list of points equals the dense pass at their pixels bit for bit."""
 
     @pytest.mark.parametrize("case", PIXEL_LISTS.values(), ids=PIXEL_LISTS.keys())
     @pytest.mark.parametrize("variant", ["identity", "bottleneck"])
     @pytest.mark.parametrize("mode", ["softmax", "max"])
     def test_matches_dense_pass(self, pair, case, variant, mode):
         ref, src, f_ref, f_src, plan = pair
-        pixels, n_valid = case
+        points, n_valid = case
         if n_valid is not None:
             plan = first_valid(plan, n_valid)
         params = make_params(variant, mode, PAIR_C, seed=21)
@@ -678,14 +681,16 @@ class TestAttendAt:
         assert same_bits(fused, transformer_forward(
             f_ref, f_src, ref, src, params, PAIR_K, plan=plan
         ).fused.data)
-        valid, locations, samples, weights = _attend_at(
-            f_ref, f_src, ref, src, params, PAIR_K, pixels
+        valid, locations, weights, dots = _attend_at(
+            f_ref, f_src, ref, src, params, PAIR_K, points
         )
-        flat = np.array([y * 32 + x for x, y in pixels], dtype=np.intp)
+        pixels = np.rint(np.array(points, dtype=np.float64).reshape(-1, 2)).astype(np.intp)
+        flat = pixels[:, 1] * 32 + pixels[:, 0]
         assert same_bits(valid, plan.valid[flat])
         rows = (np.cumsum(plan.valid) - 1)[flat[valid]]
         assert same_bits(locations, dense_plan_pixels(ref, src, (32, 32), PAIR_K)[1][rows])
-        assert same_bits(samples, state["samples"][rows])
+        want_dots = (state["samples"][rows] @ state["query"][rows][:, :, None])[:, :, 0]
+        assert same_bits(dots, want_dots)
         assert same_bits(weights, state["weights"][rows])
 
 

@@ -19,7 +19,6 @@ from epifuse.geometry import (
 from epifuse.sampler import (
     EpipolarSampleSet,
     FeatureMap,
-    _plan_pixels,
     bilinear_gather,
     bilinear_plan,
     clip_line_to_image,
@@ -30,7 +29,14 @@ from epifuse.sampler import (
     save_feature_map,
     segment_reads,
 )
-from helpers import bilinear_sample, project, random_camera_pair, rectified_pair, visible_point
+from helpers import (
+    bilinear_sample,
+    plan_pixels,
+    project,
+    random_camera_pair,
+    rectified_pair,
+    visible_point,
+)
 
 
 def liang_barsky(a, b, c, width, height):
@@ -177,7 +183,7 @@ class TestScalarMatchesBatch:
         ys = np.repeat(np.arange(16, dtype=np.float64), 16)
         pixels = np.stack([xs, ys, np.ones_like(xs)], axis=1)
         raw = pixels @ fundamental_matrix(ref, src).T
-        _, locations, _, _ = _plan_pixels(ref, src, (16, 16), (16, 16), xs, ys, k)
+        _, locations, _, _ = plan_pixels(ref, src, (16, 16), (16, 16), xs, ys, k)
         locations = iter(locations)
         for row, valid in zip(raw, plan.valid):
             try:

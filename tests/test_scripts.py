@@ -44,3 +44,19 @@ def test_cycle_rss_script_runs(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert re.fullmatch(r"cycle 1: peak_rss_mb \d+\.\d\n", done.stdout)
+
+
+def test_output_hashes_script_runs(tmp_path):
+    # The default report (seed 7, noise 0) keeps the sha256 that BENCH_30.json
+    # records for it, and each profile CSV hashes to a named line.
+    done = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "output_hashes.py"), "--root", str(REPO), "--quick"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == ("run noise=0.0 seed=7: "
+                        "ce2120c55331fac5f55c261214f1535b64c59ce523a10da170acbc78f524343a")
+    assert len(lines) > 1
+    assert all(re.fullmatch(r"profile ref=\d+ src=\d+ joint=\d+: [0-9a-f]{64}", line)
+               for line in lines[1:])
