@@ -9,14 +9,17 @@ the thread count. This prints the evidence for one checkout:
     default <case> cmp-identical: <bool>  `epifuse run` report at --threads 1 or 2
                                           and OPENBLAS_NUM_THREADS 1 or 2, against
                                           the in-process default report
+    triangulate views=<n> noise=<px> [flags]: pose <sha256> stderr <sha256> exit <code>
+                                          `epifuse triangulate` on a `rig-gen` rig
+                                          and seeded observations (write_observations)
 
 Run it at two checkouts and diff the outputs; a deliberate re-roll shows as a
 diff of named outputs:
 
     python3 scripts/output_hashes.py --root . > hashes.txt
 
---quick prints only the seed-7 noise-0 report (the default config's) and
-the profile lines, in about 2 s.
+--quick prints only the seed-7 noise-0 report (the default config's), the
+profile lines and the drawn-pair triangulate line at --seed 4, in about 2 s.
 
 In-process work runs with BLAS pinned to one thread; the cmp cases start the
 CLI with their own settings. The whole list takes about 12 s on a 2-core
@@ -44,10 +47,42 @@ PROFILES = ((0, 1, 0), (0, 1, 10), (0, 1, 20), (0, 3, 5), (4, 2, 13), (9, 0, 7))
 # --threads and OPENBLAS_NUM_THREADS of each cmp case, named as BENCH_30.json names them.
 CMP_CASES = {"blas1": ("1", "1"), "threads2": ("2", "1"), "blas2": ("1", "2"),
              "threads2_blas2": ("2", "2")}
+# (views, noise_px, flags) of the triangulate cases: every pair tried, with and
+# without noise and RANSAC; pairs drawn (15 views have 105 > 100 pairs, 24 views
+# 276), at 3 px, where the winning pair and so the bytes depend on the seed; a
+# threshold at the noise; and 46 views, whose 1035 pairs fill several blocks.
+TRIANGULATE = ((8, 0.0, ()), (8, 1.0, ()), (8, 1.0, ("--plain",)),
+               (15, 3.0, ("--seed", "0")), (15, 3.0, ("--seed", "4")),
+               (24, 3.0, ("--iterations", "100")),
+               (8, 3.0, ("--iterations", "1500", "--threshold", "3")),
+               (46, 3.0, ("--iterations", "2000")))
+QUICK_TRIANGULATE = TRIANGULATE[4]
 
 
 def sha256(data: str | bytes) -> str:
     return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
+
+
+def write_observations(path: Path, cams: list, noise_px: float) -> None:
+    """An observations CSV of 12 joints in a 600 mm cube, seeded by the view count.
+
+    Every camera sees every joint, with Gaussian noise_px and, on about a
+    quarter of the rows, an offset of up to 40 px; joint 5 is seen in view 0
+    only, and joint 7 lists view 1 twice.
+    """
+    import numpy as np
+
+    rng = np.random.default_rng(len(cams))
+    rows = ["view_id,joint_id,x,y,confidence"]
+    for joint, x in enumerate(rng.uniform(-300.0, 300.0, (12, 3))):
+        views = [0] if joint == 5 else list(range(len(cams))) + [1] * (joint == 7)
+        for view in views:
+            q = cams[view].M @ np.append(x, 1.0)
+            pixel = q[:2] / q[2] + rng.normal(0.0, noise_px, 2)
+            if rng.random() < 0.25:
+                pixel += rng.uniform(-40.0, 40.0, 2)
+            rows.append(f"{view},{joint},{float(pixel[0])!r},{float(pixel[1])!r},1.0")
+    path.write_text("\n".join(rows) + "\n")
 
 
 def main() -> None:
@@ -58,7 +93,7 @@ def main() -> None:
     args = parser.parse_args()
     root = args.root.resolve()
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
-    from epifuse import cli, synth
+    from epifuse import cli, geometry, synth
 
     config_path = root / "configs" / "default.json"
     default = synth.load_scenario(config_path)
@@ -97,6 +132,21 @@ def main() -> None:
                                env=env, check=True, capture_output=True)
                 same = (out / "report.json").read_bytes() == want.encode()
                 print(f"default {name} cmp-identical: {same}", flush=True)
+
+        for views, noise, flags in [QUICK_TRIANGULATE] if args.quick else TRIANGULATE:
+            rig, obs, out = (Path(tmp) / name for name in ("rig.json", "obs.csv", "pose.csv"))
+            with contextlib.redirect_stdout(io.StringIO()):
+                cli.main(["rig-gen", "--cameras", str(views), "--angle", repr(360.0 / views),
+                          "--out", str(rig)])
+            write_observations(obs, geometry.load_rig_file(rig), noise)
+            out.unlink(missing_ok=True)
+            stderr = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+                code = cli.main(["triangulate", "--rig", str(rig), "--obs", str(obs),
+                                 "--out", str(out), *flags])
+            pose = sha256(out.read_bytes()) if out.exists() else "-"
+            print(f"triangulate {' '.join([f'views={views} noise={noise}', *flags])}: "
+                  f"pose {pose} stderr {sha256(stderr.getvalue())} exit {code}", flush=True)
 
 
 if __name__ == "__main__":

@@ -153,7 +153,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 def cmd_triangulate(args: argparse.Namespace) -> int:
     _check_flags(
-        ("--threshold", args.threshold > 0.0, "positive"),
+        ("--threshold", 0.0 < args.threshold < math.inf, "positive and finite"),
         ("--iterations", args.iterations >= 1, "at least 1"),
         ("--seed", args.seed >= 0, "non-negative"),
     )
@@ -211,7 +211,7 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    _check_flags(("--head-size", args.head_size > 0.0, "positive"))
+    _check_flags(("--head-size", 0.0 < args.head_size < math.inf, "positive and finite"))
     pred_ids, pred, _ = load_pose_csv(args.pred)
     gt_ids, gt, _ = load_pose_csv(args.gt)
     if len(pred_ids) != len(gt_ids):

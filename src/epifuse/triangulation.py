@@ -17,11 +17,13 @@ per item with the bits of an unbatched call; a NaN row marks a system with
 no solution. RANSAC tries every two-view minimal set when there are no more
 than its iterations, and draws that many otherwise; it gates by reprojection
 error and re-estimates over the winning consensus set. One core runs it for
-many joints at once: one SVD for every joint's camera centers, blocks of
-minimal sets from many joints each solved with one DLT call and scored in
-one error pass, and one DLT call per consensus size for the refinements.
-ransac_triangulate is its one-joint call; triangulate_joints, the
-pipeline's and the CLI's one entry, hands it every joint.
+the G joints of one view count n at once, on (G, n) arrays: one SVD for
+their camera centers; blocks of whole joints, or of a run of one joint's
+minimal sets, each solved with one DLT call and scored in one (g, p, n)
+error pass, a joint's best pair an argmin over its p rows; and one DLT call
+per consensus size for the refinements. ransac_triangulate is its one-joint
+call; triangulate_joints, the pipeline's and the CLI's one entry, hands it
+the joints of each view count.
 """
 
 from __future__ import annotations
@@ -50,12 +52,10 @@ _NO_PAIR = "no pair produced two or more inliers"
 _FEW_KEPT = "the refined point keeps fewer than two inliers"
 _ONE_CENTER = "all views share one camera center"
 
-# Minimal pairs per RANSAC block, drawn from as many joints as fill it: one
-# DLT call and one error pass each, so memory stays bounded whatever the
-# iteration count. The error pass projects at most _ENTRIES (point, view)
-# entries at a time, each with its own gathered camera, so it stays bounded
-# whatever the view count.
-_BLOCK = 1024
+# (pair, view) entries per RANSAC block. A block holds whole joints of one
+# view count, or a run of one joint's pairs, and is solved with one DLT call
+# and scored in one error pass, so memory stays bounded whatever the
+# iteration and view counts.
 _ENTRIES = 16384
 
 
@@ -167,7 +167,7 @@ def ransac_triangulate(
     """
     if len(points) < 2:
         raise ValueError("RANSAC needs at least two observations")
-    (result,) = _triangulate([(cams, points)], threshold_px, iterations, [seed])
+    (result,) = _triangulate(cams[None], points[None], threshold_px, iterations, [seed])
     if result in (_NO_PAIR, _FEW_KEPT):
         raise NoConsensus(result)
     if isinstance(result, str):
@@ -176,209 +176,137 @@ def ransac_triangulate(
 
 
 def _triangulate(
-    joints: Sequence[tuple[np.ndarray, np.ndarray]], threshold_px: float, iterations: int,
+    cams: np.ndarray, points: np.ndarray, threshold_px: float, iterations: int,
     seeds: Sequence[int | np.random.SeedSequence], plain: bool = False,
 ) -> list[TriangulationResult | str]:
-    """Per joint of at least two views, its result or the reason it has none.
+    """Per joint of (G, n, 3, 4) cams and (G, n, 2) points, its result or the reason it has none.
 
-    RANSAC as ransac_triangulate describes, joint j drawing from seeds[j];
-    plain takes every view as the consensus and keeps every view an inlier.
-    The views of all joints are concatenated; the refinements run one DLT
-    call per consensus size and are scored in one error pass. A refinement
-    with no solution is solved once more on its own for its reason.
+    n is at least 2. RANSAC as ransac_triangulate describes, joint g drawing
+    from seeds[g]; plain takes every view as the consensus and keeps every
+    view an inlier. One SVD gives every camera center, blocks of pairs
+    (_pair_blocks) find each joint's consensus, and the refinements run one
+    DLT call per consensus size and are scored in one (G, n) error pass. A
+    refinement with no solution is solved once more on its own for its
+    reason.
     """
-    if not joints:
-        return []
     if not plain:
         if not (threshold_px > 0.0):
             raise ValueError("threshold must be positive")
         if iterations < 1:
             raise ValueError("iterations must be at least 1")
-    n = np.array([len(points) for _, points in joints])
-    starts = np.cumsum(n) - n
-    owner = np.repeat(np.arange(len(n)), n)  # the joint of each view
-    cams = np.concatenate([c for c, _ in joints])
-    points = np.concatenate([p for _, p in joints])
+    # LAPACK runs per camera, so each center keeps its bits.
+    frames, degenerate = _frames(np.linalg.svd(cams)[2][..., 3, :])
+    failed = dict.fromkeys(np.flatnonzero(degenerate).tolist(), _ONE_CENTER)
+    ok = ~degenerate
+    consensus = np.zeros(points.shape[:2], dtype=bool)
+    consensus[ok] = True if plain else _consensus(
+        cams[ok], points[ok], frames[ok], threshold_px, iterations,
+        [seeds[g] for g in np.flatnonzero(ok)])
+    size = np.sum(consensus, axis=1)  # 0 for every stopped joint
+    for g in np.flatnonzero(ok & (size == 0)).tolist():
+        failed[g] = _NO_PAIR
+        ok[g] = False
 
-    # One SVD for every camera center; LAPACK runs per camera, so each keeps its bits.
-    h = np.linalg.svd(cams)[2][:, 3]
-    frames = np.empty((len(n), 4, 4))
-    failed: dict[int, str] = {}
-    for m in set(n.tolist()):
-        js = np.flatnonzero(n == m)
-        frames[js], degenerate = _frames(h[starts[js, None] + np.arange(m)])
-        for j in js[degenerate].tolist():
-            failed[j] = _ONE_CENTER
-    ok = np.ones(len(n), dtype=bool)
-    ok[list(failed)] = False
-
-    consensus = ok[owner] if plain else _consensus(
-        cams, points, n, starts, frames, np.flatnonzero(ok), threshold_px, iterations, seeds)
-    size = np.bincount(owner[consensus], minlength=len(n))  # 0 for every stopped joint
-    for j in np.flatnonzero(ok & (size == 0)).tolist():
-        failed[j] = _NO_PAIR
-        ok[j] = False
-
-    x = np.full((len(n), 3), np.nan)
+    x = np.full((len(cams), 3), np.nan)
     for c in set(size[ok].tolist()):
-        js = np.flatnonzero(size == c)
-        views = np.flatnonzero(consensus & (size[owner] == c)).reshape(-1, c)
+        gs = np.flatnonzero(size == c)
+        chosen = consensus[gs]
         try:
-            x[js] = dlt_triangulate(cams[views], points[views], frames[js])
+            x[gs] = dlt_triangulate(cams[gs][chosen].reshape(-1, c, 3, 4),
+                                    points[gs][chosen].reshape(-1, c, 2), frames[gs])
         except Degenerate:  # no consensus of this size has a solution
             pass
-    for j in np.flatnonzero(ok & np.isnan(x[:, 0])).tolist():  # solved alone for its reason
-        views = np.flatnonzero(consensus & (owner == j))
+    for g in np.flatnonzero(ok & np.isnan(x[:, 0])).tolist():  # solved alone for its reason
         try:
-            dlt_triangulate(cams[views], points[views], frames[j])
+            dlt_triangulate(cams[g][consensus[g]], points[g][consensus[g]], frames[g])
         except Degenerate as exc:
-            failed[j] = str(exc)
-        ok[j] = False
+            failed[g] = str(exc)
+        ok[g] = False
 
-    js = np.flatnonzero(ok)
-    rows, views, errors = _score(cams, points, n, starts, js, x[js])
-    inliers = np.ones(len(views), dtype=bool) if plain else errors < threshold_px
-    count = np.bincount(rows[inliers], minlength=len(js))
-    for j in js[count < 2].tolist():
-        failed[j] = _FEW_KEPT
-    rms = dict(zip(js.tolist(), _rms(errors, inliers, rows, count, count >= 2).tolist()))
-    flags = np.zeros(len(owner), dtype=bool)
-    flags[views] = inliers
-    return [failed[j] if j in failed else TriangulationResult(x[j], flags[lo : lo + m], rms[j])
-            for j, (lo, m) in enumerate(zip(starts.tolist(), n.tolist()))]
+    errors = reprojection_errors(cams, points, x)
+    inliers = consensus if plain else errors < threshold_px
+    count = np.sum(inliers, axis=1)
+    for g in np.flatnonzero(ok & (count < 2)).tolist():
+        failed[g] = _FEW_KEPT
+    rms = _rms(errors, inliers, count, ok & (count >= 2))
+    return [failed[g] if g in failed else TriangulationResult(x[g], inliers[g], r)
+            for g, r in enumerate(rms.tolist())]
 
 
 def _consensus(
-    cams: np.ndarray, points: np.ndarray, n: np.ndarray, starts: np.ndarray,
-    frames: np.ndarray, live: np.ndarray, threshold_px: float, iterations: int,
-    seeds: Sequence[int | np.random.SeedSequence],
+    cams: np.ndarray, points: np.ndarray, frames: np.ndarray, threshold_px: float,
+    iterations: int, seeds: Sequence[int | np.random.SeedSequence],
 ) -> np.ndarray:
-    """(N,) flags of the views in each live joint's winning consensus; none for a joint without one.
+    """(G, n) flags of the views in each joint's winning consensus; none for a joint without one.
 
-    Joint j's views are cams[starts[j]:starts[j] + n[j]]. A pair wins with
-    the most inliers (at least two), then the lowest inlier RMS, then as
-    the earlier pair: a block's best row replaces a joint's best only when
-    strictly better.
+    A pair wins with the most inliers (at least two), then the lowest inlier
+    RMS, then as the earlier pair: a block's best row replaces a joint's
+    best only when strictly better.
     """
-    best_count = np.zeros(len(n), dtype=np.intp)
-    best_rms = np.full(len(n), np.inf)
-    best = np.zeros(len(points), dtype=bool)
-    for seg, width, pairs in _pair_blocks(n, live, iterations, seeds):
-        j, count, rms, views, flags = _block_winners(
-            cams, points, n, starts, frames, seg, width, pairs, threshold_px)
-        better = (count > best_count[j]) | ((count == best_count[j]) & (rms < best_rms[j]))
-        best_count[j[better]], best_rms[j[better]] = count[better], rms[better]
-        better = np.repeat(better, n[j])
-        best[views[better]] = flags[better]
+    best_count = np.ones(len(cams), dtype=np.intp)  # a winner has at least two inliers
+    best_rms = np.full(len(cams), np.inf)
+    best = np.zeros(points.shape[:2], dtype=bool)
+    for gs, pairs in _pair_blocks(points.shape[1], iterations, seeds):
+        ends = gs[:, None, None], pairs
+        try:
+            x = dlt_triangulate(cams[ends], points[ends], frames[gs, None])
+        except Degenerate:  # no pair of the block has a solution
+            x = np.full(pairs.shape[:2] + (3,), np.nan)
+        errors = reprojection_errors(cams[gs, None], points[gs, None], x)  # (g, p, n)
+        inliers = errors < threshold_px
+        count = np.sum(inliers, axis=2)
+        # Of a joint's rows with the most inliers, the lowest RMS, then the first, wins.
+        top = count == np.max(count, axis=1, keepdims=True)
+        rms = _rms(errors, inliers, count, top & (count >= 2))
+        rows, win = np.arange(len(gs)), np.argmin(rms, axis=1)
+        count, rms, inliers = count[rows, win], rms[rows, win], inliers[rows, win]
+        better = (count > best_count[gs]) | ((count == best_count[gs]) & (rms < best_rms[gs]))
+        won = gs[better]
+        best_count[won], best_rms[won], best[won] = count[better], rms[better], inliers[better]
     return best
 
 
-def _block_winners(
-    cams: np.ndarray, points: np.ndarray, n: np.ndarray, starts: np.ndarray,
-    frames: np.ndarray, seg: np.ndarray, width: np.ndarray, pairs: np.ndarray,
-    threshold_px: float,
-) -> tuple[np.ndarray, ...]:
-    """The best row of each joint in one block of (P, 2) pairs: width[k] of joint seg[k], k-th.
-
-    Returns (joints, inlier counts, inlier RMS, views, inlier flags): one
-    entry per joint with a row of two or more inliers, and its n views'
-    indices and flags in joint order. The block's arrays die on return, so
-    memory peaks at one block's size.
-    """
-    js = np.repeat(seg, width)
-    ends = starts[js, None] + pairs
-    try:
-        x = dlt_triangulate(cams[ends], points[ends], frames[js])
-    except Degenerate:  # no pair of the block has a solution
-        x = np.full((len(js), 3), np.nan)
-    rows, views, errors = _score(cams, points, n, starts, js, x)
-    inlier = errors < threshold_px
-    count = np.bincount(rows[inlier], minlength=len(js))
-    # Of a joint's rows with the most inliers, the lowest RMS, then the first, wins.
-    first = np.cumsum(width) - width
-    top = (count == np.repeat(np.maximum.reduceat(count, first), width)) & (count >= 2)
-    rms = _rms(errors, inlier, rows, count, top)
-    low = rms == np.repeat(np.minimum.reduceat(rms, first), width)
-    win = np.minimum.reduceat(np.where(top & low, np.arange(len(js)), len(js)), first)
-    win = win[win < len(js)]
-    won = np.zeros(len(js), dtype=bool)
-    won[win] = True
-    return js[win], count[win], rms[win], views[won[rows]], inlier[won[rows]]
-
-
-def _score(
-    cams: np.ndarray, points: np.ndarray, n: np.ndarray, starts: np.ndarray, js: np.ndarray,
-    x: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Reprojection errors of each point x[i] in every view of its joint js[i], _ENTRIES at a time.
-
-    Returns (rows, views, errors): one entry per (point, view), grouped by
-    point in view order.
-    """
-    rows = np.repeat(np.arange(len(js)), n[js])
-    views = np.arange(len(rows)) + np.repeat(starts[js] - (np.cumsum(n[js]) - n[js]), n[js])
-    errors = np.empty(len(rows))
-    for lo in range(0, len(rows), _ENTRIES):
-        r, v = rows[lo : lo + _ENTRIES], views[lo : lo + _ENTRIES]
-        errors[lo : lo + _ENTRIES] = reprojection_errors(cams[v, None], points[v, None], x[r])[:, 0]
-    return rows, views, errors
-
-
 def _rms(
-    errors: np.ndarray, inliers: np.ndarray, rows: np.ndarray, count: np.ndarray,
-    which: np.ndarray,
+    errors: np.ndarray, inliers: np.ndarray, count: np.ndarray, which: np.ndarray,
 ) -> np.ndarray:
-    """Inlier RMS of each row flagged in which, inf elsewhere.
+    """Inlier RMS over the last axis of each row flagged in which, inf elsewhere.
 
-    The rows of each inlier count are one (rows, count) mean, which keeps a
-    1-D mean's pairwise summation order, so each row has its bits.
+    count holds each row's inliers. The rows of each count are one (rows,
+    count) mean, which keeps a 1-D mean's pairwise summation order, so each
+    row has its bits.
     """
-    rms = np.full(len(count), np.inf)
+    rms = np.full(count.shape, np.inf)
     for c in set(count[which].tolist()):
         r = which & (count == c)
-        rms[r] = np.sqrt(np.mean(errors[inliers & r[rows]].reshape(-1, c) ** 2, axis=1))
+        rms[r] = np.sqrt(np.mean(errors[r][inliers[r]].reshape(-1, c) ** 2, axis=1))
     return rms
 
 
 def _pair_blocks(
-    n: np.ndarray, live: np.ndarray, iterations: int,
-    seeds: Sequence[int | np.random.SeedSequence],
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Blocks of up to _BLOCK candidate pairs in joint order: (joints, widths, (P, 2) views).
+    n: int, iterations: int, seeds: Sequence[int | np.random.SeedSequence],
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """RANSAC's candidate pairs of len(seeds) joints of n views: (joints, (g, p, 2) views) blocks.
 
-    A block holds widths[k] pairs of joint joints[k], in order. Joint j
-    tries every pair of its n[j] views, lexicographic, when there are at
-    most iterations of them, and makes no generator; otherwise it draws
-    iterations pairs with default_rng(seeds[j]).choice, as many as the
-    current block takes at a time.
+    A block holds whole joints, in order, or a run of one joint's pairs, of
+    about _ENTRIES (pair, view) entries. Each joint tries every pair of its
+    views, lexicographic, when there are at most iterations of them, and
+    makes no generator; otherwise joint g draws iterations pairs with
+    default_rng(seeds[g]).choice, a block's run at a time.
     """
-    every: dict[int, np.ndarray] = {}
-    owners: list[int] = []
-    takes: list[int] = []
-    chunks: list[np.ndarray] = []
-    size = 0
-    for j in live:
-        m = int(n[j])
-        if m * (m - 1) // 2 <= iterations:
-            if m not in every:
-                every[m] = np.stack(np.triu_indices(m, 1), axis=1)
-            rng, total = None, len(every[m])
-        else:
-            rng, total = np.random.default_rng(seeds[j]), iterations
-        lo = 0
-        while lo < total:
-            k = min(_BLOCK - size, total - lo)
-            chunks.append(every[m][lo : lo + k] if rng is None else
-                          np.array([rng.choice(m, size=2, replace=False) for _ in range(k)]))
-            owners.append(j)
-            takes.append(k)
-            size += k
-            lo += k
-            if size == _BLOCK:
-                yield np.array(owners), np.array(takes), np.concatenate(chunks)
-                owners, takes, chunks, size = [], [], [], 0
-    if size:
-        yield np.array(owners), np.array(takes), np.concatenate(chunks)
+    every = np.stack(np.triu_indices(n, 1), axis=1) if n * (n - 1) // 2 <= iterations else None
+    total = iterations if every is None else len(every)
+    whole = max(1, _ENTRIES // (total * n))  # joints a block
+    run = min(total, max(1, _ENTRIES // n))  # pairs of a joint a block
+    for lo in range(0, len(seeds), whole):
+        gs = np.arange(lo, min(lo + whole, len(seeds)))
+        rngs = [np.random.default_rng(seeds[g]) for g in gs] if every is None else []
+        for start in range(0, total, run):
+            k = min(run, total - start)
+            if every is None:
+                yield gs, np.array([[rng.choice(n, size=2, replace=False) for _ in range(k)]
+                                    for rng in rngs])
+            else:
+                yield gs, np.broadcast_to(every[start : start + k], (len(gs), k, 2))
 
 
 def triangulate_joints(
@@ -388,17 +316,22 @@ def triangulate_joints(
     """Per (cams (n, 3, 4), pixels (n, 2)) joint, its result or the reason it has none.
 
     Joint j gets ransac_triangulate's result with seed.spawn(len(joints))[j],
-    spawned whether or not it is triangulated; every joint runs in one call
-    of the same core. plain runs one DLT with every view an inlier. A reason
-    is "fewer than two views" or the message of the Degenerate or
-    NoConsensus that stopped the joint.
+    spawned whether or not it is triangulated; the joints of each view count
+    run in one call of the same core. plain runs one DLT with every view an
+    inlier. A reason is "fewer than two views" or the message of the
+    Degenerate or NoConsensus that stopped the joint.
     """
     seeds = seed.spawn(len(joints))
-    solvable = [j for j, (_, pixels) in enumerate(joints) if len(pixels) >= 2]
-    results = iter(_triangulate([joints[j] for j in solvable], threshold_px, iterations,
-                                [seeds[j] for j in solvable], plain))
-    return [next(results) if len(pixels) >= 2 else "fewer than two views"
-            for _, pixels in joints]
+    results: list[TriangulationResult | str] = ["fewer than two views"] * len(joints)
+    counts = [len(pixels) for _, pixels in joints]
+    for n in sorted(set(counts) - {0, 1}):
+        js = [j for j, m in enumerate(counts) if m == n]
+        group = _triangulate(np.stack([joints[j][0] for j in js]),
+                             np.stack([joints[j][1] for j in js]), threshold_px, iterations,
+                             [seeds[j] for j in js], plain)
+        for j, result in zip(js, group):
+            results[j] = result
+    return results
 
 
 # -- observation files --------------------------------------------------------

@@ -560,10 +560,13 @@ def refuse_compute(*args, **kwargs):
     (["scene-gen", "--out", "unwritten.json", "--extent", "inf"], "--extent"),
     (["scene-gen", "--out", "unwritten.json", "--seed", "-1"], "--seed"),
     (["eval", "--pred", "unread.csv", "--gt", "unread.csv", "--head-size", "0"], "--head-size"),
+    (["eval", "--pred", "unread.csv", "--gt", "unread.csv", "--head-size", "inf"], "--head-size"),
     (["triangulate", "--rig", "unread.json", "--obs", "unread.csv", "--out", "out.csv",
       "--threshold", "-1"], "--threshold"),
     (["triangulate", "--rig", "unread.json", "--obs", "unread.csv", "--out", "out.csv",
       "--threshold", "nan"], "--threshold"),
+    (["triangulate", "--rig", "unread.json", "--obs", "unread.csv", "--out", "out.csv",
+      "--threshold", "inf"], "--threshold"),
     (["triangulate", "--rig", "unread.json", "--obs", "unread.csv", "--out", "out.csv",
       "--iterations", "0"], "--iterations"),
     (["triangulate", "--rig", "unread.json", "--obs", "unread.csv", "--out", "out.csv",

@@ -48,7 +48,8 @@ def test_cycle_rss_script_runs(tmp_path):
 
 def test_output_hashes_script_runs(tmp_path):
     # The default report (seed 7, noise 0) keeps the sha256 that BENCH_30.json
-    # records for it, and each profile CSV hashes to a named line.
+    # records for it, each profile CSV hashes to a named line, and the
+    # drawn-pair triangulate case keeps its pose CSV, stderr and exit code.
     done = subprocess.run(
         [sys.executable, str(REPO / "scripts" / "output_hashes.py"), "--root", str(REPO), "--quick"],
         cwd=tmp_path, capture_output=True, text=True, timeout=120,
@@ -57,6 +58,10 @@ def test_output_hashes_script_runs(tmp_path):
     lines = done.stdout.splitlines()
     assert lines[0] == ("run noise=0.0 seed=7: "
                         "ce2120c55331fac5f55c261214f1535b64c59ce523a10da170acbc78f524343a")
-    assert len(lines) > 1
+    assert len(lines) > 2
     assert all(re.fullmatch(r"profile ref=\d+ src=\d+ joint=\d+: [0-9a-f]{64}", line)
-               for line in lines[1:])
+               for line in lines[1:-1])
+    assert lines[-1] == (
+        "triangulate views=15 noise=3.0 --seed 4: "
+        "pose 091dec47ec28705d04ad5822ff8c7ac47acece276d573831355105cc8cda64fc "
+        "stderr cb3d92ae6758ef6f24f1e073b96d277245092f17f0ca2b50a134f1b67145cc7d exit 0")

@@ -527,7 +527,8 @@ class TestRansac:
         # Pairs are solved a block at a time: ten times the iterations, the
         # same peak, whether the 10 views' 45 pairs are all tried or the 201
         # views' 20,100 pairs are drawn, and whether 40 or 80 ten-view joints
-        # share the blocks.
+        # share the blocks. A block's (pair, view) entries are bounded, so the
+        # 201-view joint, 201 entries a pair, peaks below 4 MB.
         def joint(n):
             cams = [random_camera(rng) for _ in range(n)]
             ms, points = observe(cams, rng.normal(0.0, 20.0, 3), 0.5, rng)
@@ -547,6 +548,8 @@ class TestRansac:
                 finally:
                     tracemalloc.stop()
             assert abs(peaks[1] - peaks[0]) < 8192
+            if len(joints[0][1]) == 201:
+                assert max(peaks) < 4_000_000
 
 
 class TestTriangulateJoints:
