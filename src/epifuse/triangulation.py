@@ -167,7 +167,7 @@ def ransac_triangulate(
     """
     if len(points) < 2:
         raise ValueError("RANSAC needs at least two observations")
-    (result,) = _triangulate(cams[None], points[None], threshold_px, iterations, [seed])
+    (result,) = _triangulate(np.stack([cams]), np.stack([points]), threshold_px, iterations, [seed])
     if result in (_NO_PAIR, _FEW_KEPT):
         raise NoConsensus(result)
     if isinstance(result, str):
