@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -308,9 +309,7 @@ def run_pipeline(
     proj = np.stack([_project_joints(cam, scene.joints) for cam in cams_m])
     visible = _inside(proj, mw, mh)
 
-    # Views run `threads` at a time in _view_order. Each map is rendered for
-    # the first view that reads it and dropped after the last, and a fused
-    # map is kept only for fused_out, so one thread holds a few maps, not all.
+    # Views run in _view_steps' steps; a fused map is kept only for fused_out.
     def render(m):
         return render_descriptor_map(cams[m], scene, sigma_px, (mw, mh))
 
@@ -318,17 +317,15 @@ def run_pipeline(
         return _fuse_and_match(r, src_of[r], maps, cams_m, proj, visible, params, k,
                                scene.descriptors, fused_out is not None)
 
-    order, step = _view_order(src_of), max(1, threads)
     maps: dict[int, FeatureMap] = {}
     per_view: list = [None] * n_views
-    for lo in range(0, n_views, step):
-        chunk = order[lo : lo + step]
-        new = sorted({m for r in chunk for m in (r, src_of[r])} - maps.keys())
-        maps.update(zip(new, _ordered_map(render, new, threads)))
-        for r, out in zip(chunk, _ordered_map(fuse, chunk, threads)):
-            per_view[r] = out
-        later = {m for r in order[lo + step :] for m in (r, src_of[r])}
-        maps = {m: fmap for m, fmap in maps.items() if m in later}
+    with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
+        run = pool.map if pool else map
+        for views, new, kept in _view_steps(src_of, threads):
+            maps.update(zip(new, run(render, new)))
+            for r, out in zip(views, run(fuse, views)):
+                per_view[r] = out
+            maps = {m: maps[m] for m in kept}
     match_hits = sum(v[1] for v in per_view)
     match_total = sum(v[2] for v in per_view)
     profiles = per_view[0][3]
@@ -398,13 +395,6 @@ def run_pipeline(
     )
 
 
-def _ordered_map(fn, items, threads: int) -> list:
-    if threads <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _choose_sources(angles_deg: np.ndarray, target_angle_deg: float) -> list[int]:
     n = angles_deg.shape[0]
     sources = []
@@ -415,19 +405,29 @@ def _choose_sources(angles_deg: np.ndarray, target_angle_deg: float) -> list[int
     return sources
 
 
-def _view_order(src_of: list[int]) -> list[int]:
-    """Views in an order that renders few maps ahead.
+def _view_steps(src_of: list[int], threads: int):
+    """Yield each step of a run: (views run at once, maps rendered first, maps kept after).
 
-    Each next view is the one reading the fewest maps not yet rendered, the
-    lowest index on ties.
+    Views run `threads` at a time, each next one reading the fewest maps not
+    yet rendered (lowest index on ties). A step keeps the maps the next step
+    reads, then others by soonest reader (Belady's rule) while they and the
+    next reads number at most min(views, 2 threads + 1), as _check_memory
+    charges. A map dropped before its last reader is rendered again: same bits.
     """
-    order, rendered = [], set()
-    while len(order) < len(src_of):
-        r = min((v for v in range(len(src_of)) if v not in order),
-                key=lambda v: len({v, src_of[v]} - rendered))
+    n, t = len(src_of), max(1, threads)
+    order, seen, held = [], set(), set()
+    while len(order) < n:
+        r = min((v for v in range(n) if v not in order), key=lambda v: len({v, src_of[v]} - seen))
         order.append(r)
-        rendered |= {r, src_of[r]}
-    return order
+        seen |= {r, src_of[r]}
+    steps = [order[lo : lo + t] for lo in range(0, n, t)]
+    reads = [{m for r in views for m in (r, src_of[r])} for views in steps] + [set()]
+    for i, views in enumerate(steps):
+        new, held = sorted(reads[i] - held), held | reads[i]
+        soon = {m: j for j in range(len(steps) - 1, i, -1) for m in reads[j]}
+        rest = sorted(held.intersection(soon) - reads[i + 1], key=lambda m: (soon[m], m))
+        held = held & reads[i + 1] | set(rest[: min(n, 2 * t + 1) - len(reads[i + 1])])
+        yield views, new, held
 
 
 def _fuse_and_match(r, s, maps, cams_m, proj, visible, params, k, descriptors, keep_fused):
