@@ -615,11 +615,13 @@ _MEMORY_BUDGET = 1 << 30
 def _check_memory(config: ScenarioConfig, threads: int = 1, keep_fused: bool = False) -> None:
     """Raise DimsTooLarge when a run of config is estimated to pass _MEMORY_BUDGET.
 
-    A map is map_wh^2 * channels floats. The views that run at once (threads,
-    at most one per camera) hold up to two rendered maps each plus one, and
-    each holds a fused map (all of them when kept), its plan's segment ends
-    (4 floats and a flag a pixel), its attention reads at the joints' query
-    pixels (K a joint, 4 C + 11 values each) and _view_scratch_bytes.
+    A map is map_wh^2 * channels floats. With t = min(threads, cameras) views
+    run at once, a run holds at most min(cameras, 2 t + 1) rendered maps, as
+    _view_steps keeps it, and each running view holds a fused map (all of
+    them when kept), its plan's segment ends (4 floats and a flag a pixel),
+    its attention reads at the joints' query pixels (K a joint, 4 C + 11
+    values each) and _view_scratch_bytes. make_rig holds two (cameras,
+    cameras) float64 arrays at once while it builds the rig's view angles.
     """
     side = config.map_wh or config.image_wh
     pixels, views, c = side * side, config.cameras, config.channels
@@ -627,7 +629,7 @@ def _check_memory(config: ScenarioConfig, threads: int = 1, keep_fused: bool = F
     maps = min(views, 2 * t + 1) + (views if keep_fused else t)
     reads = config.joints * config.k * (4 * c + 11)
     scratch = _view_scratch_bytes(config.joints, side, c)
-    need = 8 * maps * pixels * c + t * (33 * pixels + 8 * reads + scratch)
+    need = 8 * maps * pixels * c + t * (33 * pixels + 8 * reads + scratch) + 16 * views * views
     if need > _MEMORY_BUDGET:
         raise DimsTooLarge(f"the run would hold about {need >> 20} MB, "
                            f"over the {_MEMORY_BUDGET >> 20} MB budget")
@@ -701,7 +703,8 @@ def similarity_profile(
 
 
 def report_to_dict(report: PipelineReport, config: ScenarioConfig | None = None) -> dict:
-    out = asdict(report)
+    """The report as a dict; it shares the report's lists and profile dicts, not copies."""
+    out = {**vars(report), "per_joint": [dict(vars(j)) for j in report.per_joint]}
     if config is not None:
         out["config"] = scenario_to_dict(config)
     return out

@@ -343,7 +343,12 @@ OBS_FIELDS = ("view_id", "joint_id", "x", "y", "confidence")
 
 def load_observations(path: str | Path) -> list[tuple[int, int, float, float, float]]:
     rows = read_csv(path, "observations", [OBS_FIELDS])
+    first: dict[tuple[int, int], int] = {}
     for line_no, row in rows.items():
         if not 0.0 <= row[4] <= 1.0:
             raise ConfigError(f"{path}: row {line_no}: confidence must lie in [0, 1]")
+        seen = first.setdefault((row[0], row[1]), line_no)
+        if seen != line_no:  # a repeated view would count twice in the joint's consensus
+            raise ConfigError(f"{path}: rows {seen} and {line_no} repeat view_id {row[0]} "
+                              f"of joint_id {row[1]}")
     return [tuple(row) for row in rows.values()]

@@ -160,11 +160,14 @@ class TestRun:
         assert not out.exists()
         assert "not JSON compliant" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("size", [{"image_wh": 2000}, {"image_wh": 48, "map_wh": 2000}])
+    @pytest.mark.parametrize("size", [{"image_wh": 2000}, {"image_wh": 48, "map_wh": 2000},
+                                      {"cameras": 20000, "angle_deg": 0.015}])
     def test_over_memory_budget_exits_2_before_any_allocation(self, tmp_path, capsys,
                                                               monkeypatch, size):
-        # One 2000x2000 map of 16 channels is 512 MB.
+        # One 2000x2000 map of 16 channels is 512 MB; a 20000-camera rig's
+        # (views, views) float64 angle array is 3.0 GiB.
         monkeypatch.setattr("epifuse.synth.render_descriptor_map", refuse_compute)
+        monkeypatch.setattr("epifuse.synth.make_rig", refuse_compute)
         cfg = tmp_path / "big.json"
         cfg.write_text(json.dumps({**SMALL_DICT, "channels": 16, **size}))
         out = tmp_path / "o"
@@ -400,16 +403,21 @@ class TestTriangulate:
     DROPS = ["warning: joint 3 not triangulated: fewer than two views",
              "warning: joint 4 not triangulated: all views share one camera center"]
 
-    def dropped_rows(self, cams):
-        """Joint 3 seen once; joint 4 seen twice from view 2, a degenerate pair."""
+    def dropped_rows(self, rig_path, cams):
+        """Joint 3 seen once; joint 4 seen from view 2 and from a view 5, added to
+        the rig, that shares view 2's center (its rows swapped): a degenerate pair."""
+        rig = json.loads(rig_path.read_text())
+        twin = cams[2].M[[1, 0, 2]]
+        rig_path.write_text(json.dumps(rig + [{**rig[2], "M": twin.ravel().tolist()}]))
         p, q = project(cams[1], [10.0, 0.0, 0.0]), project(cams[2], [0.0, 20.0, 0.0])
         return [(1, 3, *map(float, p), 1.0), (2, 4, *map(float, q), 1.0),
-                (2, 4, *map(float, q), 1.0)]
+                (5, 4, float(q[1]), float(q[0]), 1.0)]
 
     @pytest.mark.parametrize("plain", [[], ["--plain"]], ids=["ransac", "plain"])
     def test_dropped_joints_warn_once_each(self, tmp_path, capsys, plain):
         rig_path, obs_path, cams, joints = self.make_inputs(tmp_path)
-        save_observations(load_observations(obs_path) + self.dropped_rows(cams), obs_path)
+        save_observations(load_observations(obs_path) + self.dropped_rows(rig_path, cams),
+                          obs_path)
         out = tmp_path / "pose.csv"
         rc = main(["triangulate", "--rig", str(rig_path), "--obs", str(obs_path),
                    "--out", str(out), *plain])
@@ -423,7 +431,7 @@ class TestTriangulate:
     @pytest.mark.parametrize("plain", [[], ["--plain"]], ids=["ransac", "plain"])
     def test_every_joint_dropped_exits_3(self, tmp_path, capsys, plain):
         rig_path, obs_path, cams, _ = self.make_inputs(tmp_path)
-        save_observations(self.dropped_rows(cams), obs_path)
+        save_observations(self.dropped_rows(rig_path, cams), obs_path)
         out = tmp_path / "pose.csv"
         rc = main(["triangulate", "--rig", str(rig_path), "--obs", str(obs_path),
                    "--out", str(out), *plain])
@@ -483,6 +491,20 @@ class TestTriangulate:
         assert rc == 2
         assert not out.exists()
         assert "confidence" in capsys.readouterr().err
+
+    def test_repeated_view_of_a_joint_exits_2(self, tmp_path, capsys, monkeypatch):
+        # A repeated row would count its view twice in the joint's consensus.
+        rig_path, obs_path, _, _ = self.make_inputs(tmp_path)
+        rows = load_observations(obs_path)
+        save_observations(rows + [rows[1][:2] + (1.0, 2.0, 1.0)], obs_path)
+        monkeypatch.setattr("epifuse.cli.triangulate_joints", refuse_compute)
+        out = tmp_path / "pose.csv"
+        rc = main(["triangulate", "--rig", str(rig_path), "--obs", str(obs_path),
+                   "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        assert (f"{obs_path}: rows 3 and {len(rows) + 2} repeat view_id 1 of joint_id 0"
+                in capsys.readouterr().err)
 
     def test_non_finite_point_exits_2(self, tmp_path, capsys, monkeypatch):
         rig_path, obs_path, _, _ = self.make_inputs(tmp_path)

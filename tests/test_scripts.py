@@ -63,5 +63,5 @@ def test_output_hashes_script_runs(tmp_path):
                for line in lines[1:-1])
     assert lines[-1] == (
         "triangulate views=15 noise=3.0 --seed 4: "
-        "pose 091dec47ec28705d04ad5822ff8c7ac47acece276d573831355105cc8cda64fc "
+        "pose 96a2cd3d5eb02e2656e8f5a9392dd32e030d69cbcf676924b2ab07604e83451d "
         "stderr cb3d92ae6758ef6f24f1e073b96d277245092f17f0ca2b50a134f1b67145cc7d exit 0")

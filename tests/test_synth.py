@@ -6,6 +6,8 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epifuse import sampler, synth
 from epifuse.errors import (
@@ -373,8 +375,13 @@ class TestRunPipeline:
         # 8 views 12 degrees apart fuse with a view 24 degrees away, so the
         # views form pairs of pairs such as (0, 2) and (1, 3). Taking a pair's
         # views one after the other, one thread has at most one earlier map
-        # alive whenever it renders; in view order it would have three.
-        rig = make_rig(8, 12.0, 1500.0, (48, 48), 60.0, 3)
+        # alive whenever it renders; in view order it would have three. 17
+        # views 20 degrees apart fusing near 90 degrees would hold 5 maps at
+        # one thread in that order: the schedule drops and renders again, so
+        # that a run holds no more than the min(views, 2 threads + 1) maps
+        # that _check_memory charges.
+        rigs = [(make_rig(8, 12.0, 1500.0, (48, 48), 60.0, 3), 24.0),
+                (make_rig(17, 20.0, 1500.0, (48, 48), 60.0, 0), 90.0)]
         scene = make_scene(5, 600.0, 8, 4)
         params = FusionParams.initialize("identity", "softmax", 8)
         render = synth.render_descriptor_map
@@ -386,13 +393,38 @@ class TestRunPipeline:
             rendered.append(weakref.ref(fmap))
             return fmap
 
-        want = report_json(run_pipeline(rig, scene, params, k=8, ransac_iterations=25))
+        def report(rig, target, threads=1):
+            return report_json(run_pipeline(rig, scene, params, k=8, ransac_iterations=25,
+                                            target_angle_deg=target, threads=threads))
+
+        wants = [report(rig, target) for rig, target in rigs]
         monkeypatch.setattr(synth, "render_descriptor_map", counted)
-        got = report_json(run_pipeline(rig, scene, params, k=8, ransac_iterations=25,
-                                       threads=threads))
-        assert got == want and len(rendered) == 8
-        if threads == 1:
-            assert max(alive) == 1
+        for (rig, target), want in zip(rigs, wants):
+            rendered.clear()
+            alive.clear()
+            assert report(rig, target, threads) == want
+            assert max(alive) + 1 <= min(rig.n_views, 2 * threads + 1)
+            if rig.n_views == 8:
+                assert len(rendered) == 8
+                assert threads > 1 or max(alive) == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 40).flatmap(
+        lambda n: st.lists(st.integers(1, n - 1), min_size=n, max_size=n)),
+        st.integers(1, 4))
+    def test_view_steps_hold_every_read_within_the_cap(self, offsets, threads):
+        n = len(offsets)
+        src_of = [(r + o) % n for r, o in enumerate(offsets)]  # never r itself
+        held, ran = set(), []
+        for views, new, kept in synth._view_steps(src_of, threads):
+            assert len(views) <= threads and not held & set(new)
+            held |= set(new)
+            assert all({r, src_of[r]} <= held for r in views)
+            assert len(held) <= min(n, 2 * threads + 1)
+            assert kept <= held
+            ran += views
+            held = set(kept)
+        assert sorted(ran) == list(range(n))
 
     def test_noise_is_seeded(self):
         rig, scene, params = self.small_setup()
